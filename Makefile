@@ -44,11 +44,13 @@ chaos:
 
 # conform runs the refinement conformance gate: the fixed-seed corpus
 # (fault-free and fault-plan workloads across the counter/orset/bankmap
-# classes, checked deterministic) plus the harness's own mutation test (an
-# injected apply-order bug must be caught and shrunk to <= 8 calls). See
+# classes, checked deterministic), every committed chaos corpus plan, the
+# multi-shard plans checked shard by shard, plus the harness's own mutation
+# controls (an injected apply-order bug must be caught and shrunk to <= 8
+# calls; cross-wired shards must be caught as identity violations). See
 # `hambench -exp conform` for the exploratory version.
 conform:
-	$(GO) test -run 'TestConformCorpus|TestMutated' -count=1 -v ./internal/conform
+	$(GO) test -run 'TestConformCorpus|TestCorpusConforms|TestMutated|TestShardedConformance|TestCrossWireMutationCaught' -count=1 -v ./internal/conform
 
 # conform-sessions runs the client-session gate: the session-guarantee
 # checker's unit histories, live sessions across an epoch change (monotonic

@@ -97,7 +97,7 @@ func runHamtop(cfg bench.Config, frames int) {
 		var s *health.Snapshot
 		for i := 0; i < obsPerFrame; i++ {
 			eng.RunFor(framePeriod / obsPerFrame)
-			s = health.CollectStore(eng.Now(), st)
+			s = health.Collect(eng.Now(), st)
 			wd.Observe(s)
 		}
 		renderFrame(cfg, frame, frames, s, wd.Firings(), before)

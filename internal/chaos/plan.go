@@ -125,13 +125,13 @@ type Plan struct {
 	// ignored under FullSummaries.
 	AnchorInterval int `json:"anchor_interval,omitempty"`
 
-	// ShardMix, when ≥ 2, runs the plan against a sharded multi-object
-	// store instead of a single cluster: the node set hosts that many
-	// same-class shards behind a keyed directory, the workload spreads
-	// across them, and every probe is evaluated per shard. Faults still
-	// target nodes and links (a node hosts every shard), so the run
-	// exercises cross-shard isolation: a fault stalling one shard must
-	// not stop its siblings from acking and converging.
+	// ShardMix, when ≥ 2, spreads the workload over that many same-class
+	// shards of the store every plan runs on (0 means one shard), and every
+	// probe is evaluated per shard. Faults still target nodes and links (a
+	// node hosts every shard), so the run exercises cross-shard isolation:
+	// a fault stalling one shard must not stop its siblings from acking
+	// and converging. Leave/join events and sessions act on a single
+	// shard, so they are rejected on sharded plans.
 	ShardMix int `json:"shard_mix,omitempty"`
 
 	// CrossWireShards installs the store's cross-wiring mutation control:
@@ -183,6 +183,9 @@ func (p Plan) Validate() error {
 	}
 	if p.Sessions < 0 || p.Sessions > 16 {
 		return fmt.Errorf("chaos: sessions = %d, want 0..16", p.Sessions)
+	}
+	if p.Sessions > 0 && p.ShardMix >= 2 {
+		return fmt.Errorf("chaos: sessions not supported on sharded plans")
 	}
 	node := func(i int) bool { return i >= 0 && i < p.Nodes }
 	left := make(map[int]bool)

@@ -14,6 +14,7 @@ import (
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
+	"hamband/internal/store"
 	"hamband/internal/trace"
 )
 
@@ -107,8 +108,8 @@ type Verdict struct {
 	Reconfigs  int
 	FinalEpoch uint32
 
-	// ShardAcked is the per-shard acked-update count on ShardMix runs
-	// (nil otherwise). A healthy sharded run acks on every shard.
+	// ShardAcked is the acked-update count per shard, in open order. A
+	// healthy multi-shard run acks on every shard.
 	ShardAcked []int
 
 	// Anomalies holds every watchdog firing in detection order; Unexpected
@@ -135,16 +136,26 @@ func (v *Verdict) Summary() string {
 		v.Plan.Class, v.Plan.Seed, len(v.Plan.Events), v.Issued, v.Acked, v.Makespan, v.TraceHash, verdict)
 }
 
-// runner holds the live state of one plan execution.
+// runner holds the live state of one plan execution. Every plan runs on a
+// store.Store: max(ShardMix, 1) same-class shards behind a keyed directory
+// sharing the node set, the fabric and one failure domain. Node and link
+// faults hit that shared substrate, and every correctness probe is
+// evaluated per shard, so a multi-shard run also asks whether a fault that
+// stalls one shard leaves its siblings acking, draining and converging.
 type runner struct {
-	plan    Plan
-	opts    Options
-	cls     *spec.Class
-	an      *spec.Analysis
-	eng     *sim.Engine
-	fab     *rdma.Fabric
+	plan   Plan
+	opts   Options
+	cls    *spec.Class
+	an     *spec.Analysis
+	eng    *sim.Engine
+	fab    *rdma.Fabric
+	st     *store.Store
+	shards []*store.Shard // in open order: s00, s01, …
+	rng    *rand.Rand     // workload randomness, independent of the engine's
+
+	// cluster is shard s00's cluster. Reconfiguration and client sessions
+	// act on it; plan validation keeps both off multi-shard plans.
 	cluster *core.Cluster
-	rng     *rand.Rand // workload randomness, independent of the engine's
 
 	down    []bool // suspended by the plan (includes leaderkill victims)
 	crashed []bool
@@ -153,9 +164,9 @@ type runner struct {
 
 	sessions []*session // client sessions (Plan.Sessions), nil otherwise
 
-	acked   [][]uint32 // acked[p][u]: acknowledged updates by origin and method
-	pending []int      // in-flight calls by origin
-	batches int        // issue ticks seen (drives the query mix)
+	acked   [][][]uint32 // acked[shard][p][u]: acknowledged updates by origin and method
+	pending [][]int      // pending[shard][origin]: in-flight calls
+	batches int          // issue ticks seen (drives the query mix)
 	v       *Verdict
 	wd      *health.Watchdog
 
@@ -169,9 +180,6 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.ShardMix >= 2 {
-		return runSharded(p, opts)
-	}
 	opts = opts.withDefaults()
 
 	cls := classRegistry[p.Class]()
@@ -179,11 +187,11 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	eng := sim.NewEngine(p.Seed)
 	fab := rdma.NewFabric(eng, p.Nodes, rdma.DefaultLatency())
 
-	copts := core.DefaultOptions()
+	sopts := store.DefaultOptions()
 	// Tight detector timings: plans play out over a few milliseconds, so
 	// suspicion must fire within tens of microseconds of a failure. The
 	// raised trust threshold avoids restore churn on flapping schedules.
-	copts.Heartbeat = heartbeat.Config{
+	sopts.Core.Heartbeat = heartbeat.Config{
 		BeatPeriod:     5 * sim.Microsecond,
 		CheckPeriod:    10 * sim.Microsecond,
 		Threshold:      3,
@@ -191,16 +199,21 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	}
 	// Integrity is probed (and reported) rather than asserted: a violation
 	// must become a verdict, not a panic.
-	copts.CheckIntegrity = false
-	copts.DisableFailureHandling = p.DisableRecovery
-	copts.MutateApplyOrder = p.MutateApplyOrder
+	sopts.Core.CheckIntegrity = false
+	sopts.Core.DisableFailureHandling = p.DisableRecovery
+	sopts.Core.MutateApplyOrder = p.MutateApplyOrder
 	if p.FullSummaries {
-		copts.DeltaSummaries = false
-		copts.DeltaWire = false
+		sopts.Core.DeltaSummaries = false
+		sopts.Core.DeltaWire = false
 	}
 	if p.AnchorInterval > 0 {
-		copts.AnchorInterval = p.AnchorInterval
+		sopts.Core.AnchorInterval = p.AnchorInterval
 	}
+	sopts.CrossWire = p.CrossWireShards
+	// Exact admission: the budget is sized to the plan's shard count, so a
+	// footprint-accounting regression surfaces here as an Open error.
+	nshards := max(p.ShardMix, 1)
+	sopts.MemoryBudget = nshards * store.Footprint(an, p.Nodes, sopts.Core)
 
 	r := &runner{
 		plan: p, opts: opts, cls: cls, an: an, eng: eng, fab: fab,
@@ -209,12 +222,11 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		crashed: make([]bool, p.Nodes),
 		leaving: make([]bool, p.Nodes),
 		left:    make([]bool, p.Nodes),
-		pending: make([]int, p.Nodes),
 		v:       &Verdict{Plan: p},
 	}
 	if opts.EnableMetrics {
 		reg := metrics.New(eng)
-		copts.Metrics = reg
+		sopts.Core.Metrics = reg
 		fab.EnableMetrics(reg)
 		r.v.Metrics = reg
 		r.cEvents = reg.Counter("chaos.events")
@@ -222,31 +234,41 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		r.cViolations = reg.Counter("chaos.violations")
 	}
 	if opts.FlightWindow > 0 {
-		tr := trace.NewFlightRecorder(eng, opts.FlightWindow)
-		copts.Tracer = tr
-		r.v.Trace = tr
+		sopts.Tracer = trace.NewFlightRecorder(eng, opts.FlightWindow)
 	} else if opts.TraceLimit > 0 {
-		tr := trace.New(eng, opts.TraceLimit)
-		copts.Tracer = tr
-		r.v.Trace = tr
+		sopts.Tracer = trace.New(eng, opts.TraceLimit)
 	}
-	r.cluster = core.NewCluster(fab, an, copts)
+	r.v.Trace = sopts.Tracer
+	r.st = store.New(fab, sopts)
 	// The watchdog observes health snapshots on the probe cadence. Both
 	// collection and evaluation are read-only and cost no virtual time, so
 	// trace hashes are identical with and without it; its firings are
 	// cross-checked against the fault plan at the end of the run.
 	r.wd = health.NewWatchdog(health.Config{
-		Metrics: copts.Metrics,
-		Tracer:  copts.Tracer,
+		Metrics: sopts.Core.Metrics,
+		Tracer:  sopts.Tracer,
 		OnFirstFiring: func(health.Firing) {
 			if r.v.Trace != nil {
 				r.v.FlightDump = r.v.Trace.Events()
 			}
 		},
 	})
-	for i := 0; i < p.Nodes; i++ {
-		r.acked = append(r.acked, make([]uint32, len(cls.Methods)))
+	for i := 0; i < nshards; i++ {
+		key := fmt.Sprintf("s%02d", i)
+		sh, err := r.st.Open(key, an, store.ShardOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("chaos: opening shard %s: %w", key, err)
+		}
+		r.shards = append(r.shards, sh)
+		acked := make([][]uint32, p.Nodes)
+		for n := range acked {
+			acked[n] = make([]uint32, len(cls.Methods))
+		}
+		r.acked = append(r.acked, acked)
+		r.pending = append(r.pending, make([]int, p.Nodes))
 	}
+	r.cluster = r.shards[0].Cluster
+	r.v.ShardAcked = make([]int, nshards)
 	r.run()
 	return r.v, nil
 }
@@ -273,7 +295,7 @@ func (r *runner) run() {
 	// consecutive-observation thresholds are denominated in probe periods.
 	probeTick := r.eng.NewTicker(r.opts.ProbePeriod, func() {
 		r.probeIntegrity(false)
-		r.wd.Observe(health.Collect(r.eng.Now(), r.cluster))
+		r.wd.Observe(health.Collect(r.eng.Now(), r.st))
 	})
 
 	// Run the schedule out: workload end or last event, whichever is later.
@@ -296,13 +318,18 @@ func (r *runner) run() {
 	r.v.Drained = r.drain()
 	probeTick.Cancel()
 
-	// Final probes over the quiescent state.
+	// Final probes over the quiescent state: shards that drained must
+	// converge and hold exactly-once; shards that did not are one
+	// quiescence violation naming them, so isolation failures read
+	// directly off the verdict.
 	if !r.v.Drained {
-		r.violate("quiescence", fmt.Sprintf("not quiescent after %v drain: %d calls in flight from correct origins, replication incomplete=%v",
-			r.opts.DrainDeadline, r.pendingCorrect(), !r.replicated()))
-	} else {
-		r.probeConvergence()
-		r.probeExactlyOnce()
+		r.violateQuiescence()
+	}
+	for si := range r.shards {
+		if r.quiescent(si) {
+			r.probeConvergence(si)
+			r.probeExactlyOnce(si)
+		}
 	}
 	r.probeIntegrity(true)
 	classifyFirings(r.v, r.wd, r.violate)
@@ -317,7 +344,25 @@ func (r *runner) run() {
 	// Seal the trace hash with the end-of-run facts so verdict-affecting
 	// divergence always shows up in it.
 	r.fold(int64(r.eng.Now()), int64(r.v.Issued), int64(r.v.Acked), int64(len(r.v.Violations)))
-	r.cluster.Stop()
+	if r.multi() {
+		for _, a := range r.v.ShardAcked {
+			r.fold(int64(a))
+		}
+	}
+	r.st.Stop()
+}
+
+// multi reports whether the plan spreads its workload over several shards.
+// Single-shard runs draw no shard index and fold none into the trace hash,
+// so their schedules and hashes are those of a plain one-object cluster.
+func (r *runner) multi() bool { return len(r.shards) > 1 }
+
+// where prefixes a shard's probe reports with its key on multi-shard runs.
+func (r *runner) where(si int) string {
+	if !r.multi() {
+		return ""
+	}
+	return r.shards[si].Key + ": "
 }
 
 // apply executes one nemesis event at its scheduled time. Events are
@@ -359,13 +404,15 @@ func (r *runner) apply(e Event) {
 	r.fold(int64(r.eng.Now()), int64(kindIndex(e.Kind)), int64(e.Node), int64(e.A), int64(e.B))
 }
 
+// suspend stops node n's process — every shard it hosts at once; the
+// shared failure domain's beater is the node's single heartbeat thread.
 func (r *runner) suspend(n int) {
 	if r.down[n] || r.crashed[n] {
 		return
 	}
 	r.down[n] = true
-	if b := r.cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
-		b.Suspend()
+	if fd := r.st.FailureDomain(); fd != nil {
+		fd.Beater(n).Suspend()
 	}
 	r.fab.Node(rdma.NodeID(n)).Suspend()
 }
@@ -375,16 +422,18 @@ func (r *runner) resume(n int) {
 		return
 	}
 	r.down[n] = false
-	if b := r.cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
-		b.Resume()
+	if fd := r.st.FailureDomain(); fd != nil {
+		fd.Beater(n).Resume()
 	}
 	r.fab.Node(rdma.NodeID(n)).Resume()
 }
 
-// leaderKill suspends the current leader of synchronization group g, as
-// seen by the lowest-id live replica. Classes without conflicting methods
-// have no leaders; the kill then falls on the lowest-id live node so the
-// event still perturbs something.
+// leaderKill routes group g to shard g mod shards and suspends that
+// shard's current leader of group (g / shards) mod groups, as seen by the
+// lowest-id live replica — on multi-shard runs a fault aimed at exactly
+// one shard's consensus, the probe for cross-shard stall isolation.
+// Classes without conflicting methods have no leaders; the kill then falls
+// on the lowest-id live node so the event still perturbs something.
 func (r *runner) leaderKill(g int) {
 	obs := r.firstLive()
 	if obs < 0 {
@@ -392,16 +441,15 @@ func (r *runner) leaderKill(g int) {
 	}
 	victim := obs
 	if len(r.an.SyncGroups) > 0 {
-		victim = int(r.cluster.Leader(spec.ProcID(obs), g%len(r.an.SyncGroups)))
+		sh := r.shards[g%len(r.shards)]
+		victim = int(sh.Cluster.Leader(spec.ProcID(obs), (g/len(r.shards))%len(r.an.SyncGroups)))
 	}
 	r.suspend(victim)
 }
 
 func (r *runner) firstLive() int {
-	for i := 0; i < r.plan.Nodes; i++ {
-		if !r.down[i] && !r.crashed[i] && !r.leaving[i] {
-			return i
-		}
+	if live := r.issuable(); len(live) > 0 {
+		return live[0]
 	}
 	return -1
 }
@@ -478,7 +526,8 @@ func (r *runner) healAll() {
 	r.fold(int64(r.eng.Now()), -1) // mark the heal in the trace
 }
 
-// issueBatch issues up to BatchSize updates from random live origins.
+// issueBatch issues up to BatchSize updates to random shards from random
+// live origins.
 func (r *runner) issueBatch() {
 	if r.v.Issued >= r.plan.Ops {
 		return
@@ -493,27 +542,47 @@ func (r *runner) issueBatch() {
 		if len(live) == 0 {
 			return
 		}
+		si := r.pickShard()
 		origin := spec.ProcID(live[r.rng.Intn(len(live))])
 		u := ups[r.rng.Intn(len(ups))]
 		call := r.cls.Gen.Call(r.rng, u)
 		fixTags(&call, origin, uint64(r.v.Issued)+1)
-		r.invoke(origin, u, call.Args, nil)
+		r.invoke(si, origin, u, call.Args, nil)
 	}
 }
 
-// invoke issues one update, maintaining the probe bookkeeping. onAck, when
-// non-nil, runs after the bookkeeping when the call resolves (the session
-// clients hook it to stamp their evidence at ack time).
-func (r *runner) invoke(origin spec.ProcID, u spec.MethodID, args spec.Args, onAck func(error)) {
+// pickShard draws the shard of the next call. A single-shard run draws
+// nothing: the workload stream stays that of a plain one-object cluster.
+func (r *runner) pickShard() int {
+	if !r.multi() {
+		return 0
+	}
+	return r.rng.Intn(len(r.shards))
+}
+
+// foldCall folds one call completion, tagged with its shard on multi-shard
+// runs.
+func (r *runner) foldCall(si int, vals ...int64) {
+	if r.multi() {
+		vals = append([]int64{vals[0], int64(si)}, vals[1:]...)
+	}
+	r.fold(vals...)
+}
+
+// invoke issues one update on shard si, maintaining the probe bookkeeping.
+// onAck, when non-nil, runs after the bookkeeping when the call resolves
+// (the session clients hook it to stamp their evidence at ack time).
+func (r *runner) invoke(si int, origin spec.ProcID, u spec.MethodID, args spec.Args, onAck func(error)) {
 	r.v.Issued++
 	r.cCalls.Inc()
-	r.pending[origin]++
-	r.cluster.Replica(origin).Invoke(u, args, func(_ any, err error) {
-		r.pending[origin]--
+	r.pending[si][origin]++
+	r.shards[si].Invoke(origin, u, args, func(_ any, err error) {
+		r.pending[si][origin]--
 		code := int64(0)
 		switch {
 		case err == nil:
-			r.acked[origin][u]++
+			r.acked[si][origin][u]++
+			r.v.ShardAcked[si]++
 			r.v.Acked++
 		case errors.Is(err, core.ErrImpermissible):
 			r.v.Rejected++
@@ -522,16 +591,17 @@ func (r *runner) invoke(origin spec.ProcID, u spec.MethodID, args spec.Args, onA
 			code = 2
 		default:
 			code = 3
-			r.violate("invoke-error", fmt.Sprintf("p%d %s: %v", origin, r.cls.Methods[u].Name, err))
+			r.violate("invoke-error", fmt.Sprintf("%sp%d %s: %v", r.where(si), origin, r.cls.Methods[u].Name, err))
 		}
-		r.fold(int64(r.eng.Now()), int64(origin), int64(u), code)
+		r.foldCall(si, int64(r.eng.Now()), int64(origin), int64(u), code)
 		if onAck != nil {
 			onAck(err)
 		}
 	})
 }
 
-// issueQuery evaluates one random query at a random live origin. Results
+// issueQuery evaluates one random query on a random shard at a random live
+// origin. Results
 // land in the trace (for the conformance checker to explain), not in the
 // verdict: a query failing with ErrDown mid-fault is expected behavior.
 func (r *runner) issueQuery() {
@@ -543,31 +613,32 @@ func (r *runner) issueQuery() {
 	if len(live) == 0 {
 		return
 	}
+	si := r.pickShard()
 	origin := spec.ProcID(live[r.rng.Intn(len(live))])
 	q := qs[r.rng.Intn(len(qs))]
 	call := r.cls.Gen.Call(r.rng, q)
 	fresh := r.rng.Intn(2) == 0
-	done := func(_ any, err error) {
+	r.shards[si].Query(origin, q, call.Args, fresh, func(_ any, err error) {
 		code := int64(0)
 		if err != nil {
 			code = 1
 		}
-		r.fold(int64(r.eng.Now()), int64(origin), int64(q), 16+code)
-	}
-	if fresh {
-		r.cluster.Replica(origin).InvokeFresh(q, call.Args, done)
-	} else {
-		r.cluster.Replica(origin).Invoke(q, call.Args, done)
-	}
+		r.foldCall(si, int64(r.eng.Now()), int64(origin), int64(q), 16+code)
+	})
 }
 
-// issuable lists the nodes the workload may target: up, and in (or not
-// yet leaving) the configuration — a departed node acks writes locally
-// that no member will ever accept.
+// usable reports whether node n may originate calls and serve sessions:
+// up, and in (or not yet leaving) the configuration — a departed node acks
+// writes locally that no member will ever accept.
+func (r *runner) usable(n int) bool {
+	return !r.down[n] && !r.crashed[n] && !r.leaving[n]
+}
+
+// issuable lists the usable nodes.
 func (r *runner) issuable() []int {
 	var live []int
 	for n := 0; n < r.plan.Nodes; n++ {
-		if !r.down[n] && !r.crashed[n] && !r.leaving[n] {
+		if r.usable(n) {
 			live = append(live, n)
 		}
 	}
@@ -589,11 +660,11 @@ func fixTags(call *spec.Call, p spec.ProcID, salt uint64) {
 // never crashed and is not (still) suspended.
 func (r *runner) correct(n int) bool { return !r.down[n] && !r.crashed[n] }
 
-// pendingCorrect counts in-flight calls whose origin is correct; calls
+// inflight counts shard si's in-flight calls from correct origins; calls
 // stranded on a dead origin can never complete and are exempt.
-func (r *runner) pendingCorrect() int {
+func (r *runner) inflight(si int) int {
 	total := 0
-	for n, c := range r.pending {
+	for n, c := range r.pending[si] {
 		if r.correct(n) {
 			total += c
 		}
@@ -601,19 +672,20 @@ func (r *runner) pendingCorrect() int {
 	return total
 }
 
-// replicated reports whether every correct replica has applied at least
-// every acknowledged update from every correct origin.
-func (r *runner) replicated() bool {
+// replicated reports whether every correct replica of shard si has applied
+// at least every acknowledged update from every correct origin.
+func (r *runner) replicated(si int) bool {
+	sh := r.shards[si]
 	for n := 0; n < r.plan.Nodes; n++ {
 		if !r.correct(n) {
 			continue
 		}
-		applied := r.cluster.Replica(spec.ProcID(n)).Applied()
+		applied := sh.Replica(spec.ProcID(n)).Applied()
 		for p := 0; p < r.plan.Nodes; p++ {
 			if !r.correct(p) {
 				continue
 			}
-			for u, want := range r.acked[p] {
+			for u, want := range r.acked[si][p] {
 				if applied.Get(spec.ProcID(p), spec.MethodID(u)) < want {
 					return false
 				}
@@ -623,60 +695,97 @@ func (r *runner) replicated() bool {
 	return true
 }
 
-// drain runs the simulation until quiescence — no in-flight calls from
-// correct origins and full replication — or the drain budget expires.
+// quiescent reports whether shard si has nothing in flight from correct
+// origins and is fully replicated.
+func (r *runner) quiescent(si int) bool { return r.inflight(si) == 0 && r.replicated(si) }
+
+// stalled lists the shards that are not quiescent.
+func (r *runner) stalled() []int {
+	var out []int
+	for si := range r.shards {
+		if !r.quiescent(si) {
+			out = append(out, si)
+		}
+	}
+	return out
+}
+
+// drain runs the simulation until every shard is quiescent or the drain
+// budget expires.
 func (r *runner) drain() bool {
 	deadline := r.eng.Now() + sim.Time(r.opts.DrainDeadline)
 	for r.eng.Now() < deadline {
 		r.eng.RunFor(200 * sim.Microsecond)
-		if r.pendingCorrect() == 0 && r.replicated() {
+		if len(r.stalled()) == 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// probeConvergence checks all correct replicas reached identical states.
-func (r *runner) probeConvergence() {
+// violateQuiescence reports the shards the drain left stalled as one
+// violation, naming them on multi-shard runs.
+func (r *runner) violateQuiescence() {
+	var keys []string
+	inflight, incomplete := 0, false
+	for _, si := range r.stalled() {
+		keys = append(keys, r.shards[si].Key)
+		inflight += r.inflight(si)
+		incomplete = incomplete || !r.replicated(si)
+	}
+	where := ""
+	if r.multi() {
+		where = fmt.Sprintf("shards [%s] ", strings.Join(keys, " "))
+	}
+	r.violate("quiescence", fmt.Sprintf("%snot quiescent after %v drain: %d calls in flight from correct origins, replication incomplete=%v",
+		where, r.opts.DrainDeadline, inflight, incomplete))
+}
+
+// probeConvergence checks all correct replicas of shard si reached
+// identical states.
+func (r *runner) probeConvergence(si int) {
+	sh := r.shards[si]
 	ref := -1
 	var refState spec.State
 	for n := 0; n < r.plan.Nodes; n++ {
 		if !r.correct(n) {
 			continue
 		}
-		st := r.cluster.Replica(spec.ProcID(n)).CurrentState()
+		st := sh.Replica(spec.ProcID(n)).CurrentState()
 		if refState == nil {
 			ref, refState = n, st
 			continue
 		}
 		if !refState.Equal(st) {
-			r.violate("convergence", fmt.Sprintf("replicas p%d and p%d hold different states after heal+drain", ref, n))
+			r.violate("convergence", fmt.Sprintf("%sreplicas p%d and p%d hold different states after heal+drain", r.where(si), ref, n))
 		}
 	}
 }
 
-// probeExactlyOnce checks the applied-call counts: every acknowledged
-// update from a correct origin is applied exactly once at every correct
-// replica — fewer is a lost update, more is a duplicate delivery.
-func (r *runner) probeExactlyOnce() {
+// probeExactlyOnce checks shard si's applied-call counts: every
+// acknowledged update from a correct origin is applied exactly once at
+// every correct replica — fewer is a lost update, more is a duplicate
+// delivery.
+func (r *runner) probeExactlyOnce(si int) {
+	sh := r.shards[si]
 	for n := 0; n < r.plan.Nodes; n++ {
 		if !r.correct(n) {
 			continue
 		}
-		applied := r.cluster.Replica(spec.ProcID(n)).Applied()
+		applied := sh.Replica(spec.ProcID(n)).Applied()
 		for p := 0; p < r.plan.Nodes; p++ {
 			if !r.correct(p) {
 				continue
 			}
-			for u, want := range r.acked[p] {
+			for u, want := range r.acked[si][p] {
 				got := applied.Get(spec.ProcID(p), spec.MethodID(u))
 				switch {
 				case got < want:
-					r.violate("lost-update", fmt.Sprintf("p%d applied %d of %d acked %s calls from p%d",
-						n, got, want, r.cls.Methods[u].Name, p))
+					r.violate("lost-update", fmt.Sprintf("%sp%d applied %d of %d acked %s calls from p%d",
+						r.where(si), n, got, want, r.cls.Methods[u].Name, p))
 				case got > want:
-					r.violate("duplicate", fmt.Sprintf("p%d applied %d %s calls from p%d but only %d were acked",
-						n, got, r.cls.Methods[u].Name, p, want))
+					r.violate("duplicate", fmt.Sprintf("%sp%d applied %d %s calls from p%d but only %d were acked",
+						r.where(si), n, got, r.cls.Methods[u].Name, p, want))
 				}
 			}
 		}
@@ -684,23 +793,26 @@ func (r *runner) probeExactlyOnce() {
 }
 
 // probeIntegrity checks the class invariant on every live replica's
-// current state. Transient violations during the run are real violations:
-// integrity must hold at every queried point (§3, integrity).
+// current state, shard by shard. Transient violations during the run are
+// real violations: integrity must hold at every queried point (§3,
+// integrity).
 func (r *runner) probeIntegrity(final bool) {
 	if r.cls.TrivialInvariant || r.cls.Invariant == nil {
 		return
 	}
-	for n := 0; n < r.plan.Nodes; n++ {
-		if r.down[n] || r.crashed[n] {
-			continue
-		}
-		if !r.cls.Invariant(r.cluster.Replica(spec.ProcID(n)).CurrentState()) {
-			when := "during run"
-			if final {
-				when = "after heal+drain"
+	for si, sh := range r.shards {
+		for n := 0; n < r.plan.Nodes; n++ {
+			if r.down[n] || r.crashed[n] {
+				continue
 			}
-			r.violate("integrity", fmt.Sprintf("invariant violated at p%d (%s)", n, when))
-			return // one report per probe tick is enough
+			if !r.cls.Invariant(sh.Replica(spec.ProcID(n)).CurrentState()) {
+				when := "during run"
+				if final {
+					when = "after heal+drain"
+				}
+				r.violate("integrity", fmt.Sprintf("%sinvariant violated at p%d (%s)", r.where(si), n, when))
+				break // one report per shard per probe tick is enough
+			}
 		}
 	}
 }

@@ -64,12 +64,6 @@ func (r *runner) stepSessions() {
 	}
 }
 
-// usable reports whether node n can serve a session: up and in the
-// configuration (a departed node acks writes no member will accept).
-func (r *runner) usable(n int) bool {
-	return !r.down[n] && !r.crashed[n] && !r.leaving[n]
-}
-
 // viewOf snapshots node n's per-origin applied-update counts — the
 // session evidence vector. Callers own the returned slice.
 func (r *runner) viewOf(n int) []uint64 {
@@ -118,7 +112,7 @@ func (s *session) write() {
 	origin := spec.ProcID(n)
 	fixTags(&call, origin, uint64(s.r.v.Issued)+1)
 	s.busy = true
-	s.r.invoke(origin, u, call.Args, func(err error) {
+	s.r.invoke(0, origin, u, call.Args, func(err error) {
 		s.busy = false
 		if err != nil {
 			return

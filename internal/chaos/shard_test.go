@@ -36,6 +36,10 @@ func TestShardMixValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: -3},
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: 33},
 		{Class: "counter", Nodes: 4, Ops: 10, CrossWireShards: true},
+		// Sessions and their stale-read mutation control run on one shard
+		// only; accepting them here would silently skip the control.
+		{Class: "counter", Nodes: 4, Ops: 120, Seed: 51, ShardMix: 2, Sessions: 2, MutateStaleReads: true},
+		{Class: "counter", Nodes: 4, Ops: 120, Seed: 51, ShardMix: 2, Sessions: 2},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

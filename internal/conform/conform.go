@@ -80,9 +80,9 @@ type Options struct {
 	Correct []bool
 	// RequireIssued treats an apply of a call identity with no Issue event
 	// in this history as a violation. Sound only for complete traces (a
-	// flight-recorder window legitimately starts mid-history); the sharded
-	// checker sets it because a call applied in one shard but issued in
-	// another is exactly the cross-wiring bug it exists to catch.
+	// flight-recorder window legitimately starts mid-history); Run sets it
+	// because a call applied in one shard but issued in another is exactly
+	// the cross-wiring bug its per-shard check exists to catch.
 	RequireIssued bool
 }
 

@@ -3,6 +3,7 @@ package conform
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,12 +51,13 @@ func TestConformCorpus(t *testing.T) {
 				t.Fatalf("chaos probes failed:\n%s", chaos.FormatViolations(r1.Verdict))
 			}
 			if !r1.Conforms() {
-				t.Fatalf("history does not conform:\n%s", r1.Report)
+				t.Fatalf("history does not conform:\n%s", r1)
 			}
-			if r1.Report.Queries == 0 {
+			rep := onlyReport(t, r1)
+			if rep.Queries == 0 {
 				t.Fatal("no query events checked; the corpus must exercise query explainability")
 			}
-			if r1.Report.Calls == 0 {
+			if rep.Calls == 0 {
 				t.Fatal("no calls replayed; the trace is missing issue events")
 			}
 			r2, err := Run(p, chaos.Options{})
@@ -65,6 +67,52 @@ func TestConformCorpus(t *testing.T) {
 			if r1.Verdict.TraceHash != r2.Verdict.TraceHash {
 				t.Fatalf("nondeterministic run: trace hash %016x then %016x",
 					r1.Verdict.TraceHash, r2.Verdict.TraceHash)
+			}
+		})
+	}
+}
+
+// onlyReport returns the report of a single-shard run.
+func onlyReport(t *testing.T, res *Result) *Report {
+	t.Helper()
+	if len(res.Reports) != 1 {
+		t.Fatalf("checked %d shards, want 1: %v", len(res.Reports), res.Keys())
+	}
+	return res.Reports[res.Keys()[0]]
+}
+
+// TestCorpusConforms replays every committed chaos corpus plan — single-
+// and multi-shard alike — through the conformance harness: every shard's
+// history must conform.
+func TestCorpusConforms(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "chaos", "testdata", "chaos", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no chaos corpus plans found")
+	}
+	for _, path := range files {
+		path := path
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := chaos.ReadPlan(f)
+			f.Close()
+			if err != nil {
+				t.Fatalf("invalid corpus plan: %v", err)
+			}
+			res, err := Run(p, chaos.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := max(p.ShardMix, 1); len(res.Reports) != want {
+				t.Fatalf("checked %d shards, want %d: %v", len(res.Reports), want, res.Keys())
+			}
+			if !res.Conforms() {
+				t.Fatalf("corpus plan does not conform:\n%s", res)
 			}
 		})
 	}
@@ -105,13 +153,13 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 		t.Fatalf("shrunk plan (seed %d, %d ops) no longer fails", min.Seed, min.Ops)
 	}
 	kinds := make(map[string]bool)
-	for _, v := range res.Report.Violations {
+	for _, v := range res.Violations() {
 		kinds[v.Check] = true
 	}
 	if !kinds["dependency"] && !kinds["permissibility"] && !kinds["conflict-order"] {
-		t.Errorf("expected a dependency, permissibility or conflict-order violation, got:\n%s", res.Report)
+		t.Errorf("expected a dependency, permissibility or conflict-order violation, got:\n%s", res)
 	}
-	t.Logf("caught with %d ops, %d events:\n%s", min.Ops, len(min.Events), res.Report)
+	t.Logf("caught with %d ops, %d events:\n%s", min.Ops, len(min.Events), res)
 }
 
 // TestFlightWindowDumpedForFailure pins the debugging artifact chain: a
@@ -174,8 +222,8 @@ func TestMutatedRunsAreDeterministic(t *testing.T) {
 	if r1.Verdict.TraceHash != r2.Verdict.TraceHash {
 		t.Fatalf("trace hash %016x then %016x", r1.Verdict.TraceHash, r2.Verdict.TraceHash)
 	}
-	if len(r1.Report.Violations) != len(r2.Report.Violations) {
-		t.Fatalf("violation count %d then %d", len(r1.Report.Violations), len(r2.Report.Violations))
+	if len(r1.Violations()) != len(r2.Violations()) {
+		t.Fatalf("violation count %d then %d", len(r1.Violations()), len(r2.Violations()))
 	}
 }
 
@@ -189,7 +237,7 @@ func conformingTrace(t *testing.T, class string, seed int64) (*spec.Analysis, []
 		t.Fatal(err)
 	}
 	if !res.Conforms() {
-		t.Fatalf("baseline does not conform:\n%s", res.Report)
+		t.Fatalf("baseline does not conform:\n%s", res)
 	}
 	cls, err := chaos.Class(class)
 	if err != nil {

@@ -5,9 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
 	"hamband/internal/chaos"
 	"hamband/internal/spec"
+	"hamband/internal/trace"
 )
 
 // DefaultTraceLimit sizes the tracer Run attaches: large enough that
@@ -15,21 +18,64 @@ import (
 // history unexplainable and is reported as a trace violation).
 const DefaultTraceLimit = 1 << 19
 
-// Result pairs one run's chaos verdict with its conformance report.
+// Result pairs one run's chaos verdict with one conformance report per
+// shard.
 type Result struct {
 	Verdict *chaos.Verdict
-	Report  *Report
+	Reports map[string]*Report // by shard key
 }
 
-// Conforms reports whether the run's history is explainable by the
+// Conforms reports whether every shard's history is explainable by the
 // abstract semantics. It is independent of the chaos probes' own verdict:
 // a run can conform and still fail quiescence (and vice versa a probe can
 // pass while the history is unexplainable).
-func (r *Result) Conforms() bool { return r.Report.OK() }
+func (r *Result) Conforms() bool {
+	for _, rep := range r.Reports {
+		if !rep.OK() {
+			return false
+		}
+	}
+	return len(r.Reports) > 0
+}
 
-// Run executes one fault plan with tracing enabled and checks the
-// resulting history against the abstract semantics. Runs are deterministic
-// in the plan: equal plans produce equal trace hashes and equal reports.
+// Keys lists the checked shards, sorted.
+func (r *Result) Keys() []string {
+	keys := make([]string, 0, len(r.Reports))
+	for k := range r.Reports {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Violations lists every shard's violations, in key order.
+func (r *Result) Violations() []Violation {
+	var out []Violation
+	for _, k := range r.Keys() {
+		out = append(out, r.Reports[k].Violations...)
+	}
+	return out
+}
+
+// String renders one report per shard, each prefixed with its key.
+func (r *Result) String() string {
+	lines := make([]string, 0, len(r.Reports))
+	for _, k := range r.Keys() {
+		lines = append(lines, fmt.Sprintf("%s: %s", k, r.Reports[k]))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// Run executes one fault plan with tracing enabled and checks each shard's
+// history independently, exactly as if that shard were a standalone
+// cluster (per-object checking is what replication-aware linearizability
+// asks for). Events that belong to no shard — heartbeats and other
+// fabric-level traffic — carry nothing the checks read and are dropped.
+// RequireIssued is on: the trace is complete, and a call applied in one
+// shard but issued in another is exactly the leakage a per-shard check
+// exists to catch (the plan's CrossWireShards knob is that mutation
+// control). Runs are deterministic in the plan: equal plans produce equal
+// trace hashes and equal reports.
 func Run(p chaos.Plan, opts chaos.Options) (*Result, error) {
 	if opts.TraceLimit <= 0 {
 		opts.TraceLimit = DefaultTraceLimit
@@ -45,21 +91,32 @@ func Run(p chaos.Plan, opts chaos.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := Check(spec.MustAnalyze(cls), v.Trace.Events(), Options{
-		Nodes:     p.Nodes,
-		Quiescent: v.Drained,
-		Correct:   v.Correct,
-	})
-	if p.Sessions > 0 {
-		rep.Violations = append(rep.Violations, CheckSessions(v.Trace.Events())...)
+	an := spec.MustAnalyze(cls)
+	events := v.Trace.Events()
+	byShard := trace.ByShard(events)
+	delete(byShard, "")
+	res := &Result{Verdict: v, Reports: make(map[string]*Report, len(byShard))}
+	for key, evs := range byShard {
+		rep := Check(an, evs, Options{
+			Nodes:         p.Nodes,
+			Quiescent:     v.Drained,
+			Correct:       v.Correct,
+			RequireIssued: true,
+		})
+		if p.Sessions > 0 {
+			// Sessions run on the plan's only shard; their records are
+			// client-side and carry no shard tag.
+			rep.Violations = append(rep.Violations, CheckSessions(events)...)
+		}
+		if d := v.Trace.Dropped(); d > 0 {
+			rep.Violations = append([]Violation{{
+				Check: "trace", Node: -1,
+				Detail: fmt.Sprintf("%d events dropped beyond the %d-event trace limit; history incomplete", d, opts.TraceLimit),
+			}}, rep.Violations...)
+		}
+		res.Reports[key] = rep
 	}
-	if d := v.Trace.Dropped(); d > 0 {
-		rep.Violations = append([]Violation{{
-			Check: "trace", Node: -1,
-			Detail: fmt.Sprintf("%d events dropped beyond the %d-event trace limit; history incomplete", d, opts.TraceLimit),
-		}}, rep.Violations...)
-	}
-	return &Result{Verdict: v, Report: rep}, nil
+	return res, nil
 }
 
 // Shrink minimizes a non-conforming plan: drop fault events one at a time
@@ -146,7 +203,7 @@ func Explore(w io.Writer, o ExploreOptions) (failures int, dumped []string) {
 			continue
 		}
 		failures++
-		fmt.Fprintf(w, "%s\n", res.Report)
+		fmt.Fprintf(w, "%s\n", res)
 		min := Shrink(p, o.Options)
 		if name, err := DumpPlan(o.DumpDir, min); err == nil {
 			dumped = append(dumped, name)
@@ -168,7 +225,7 @@ func verdictWord(res *Result) string {
 	if res.Conforms() {
 		return "CONFORMS"
 	}
-	return fmt.Sprintf("NONCONFORMING(%d)", len(res.Report.Violations))
+	return fmt.Sprintf("NONCONFORMING(%d)", len(res.Violations()))
 }
 
 // DumpPlan writes a non-conforming plan as a replayable JSON artifact and

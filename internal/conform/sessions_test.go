@@ -80,7 +80,7 @@ func TestSessionsConformAcrossReconfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Conforms() {
-		t.Fatalf("reconfig session run does not conform:\n%s", res.Report)
+		t.Fatalf("reconfig session run does not conform:\n%s", res)
 	}
 	epochs := make(map[uint32]bool)
 	reads := 0
@@ -122,13 +122,13 @@ func TestStaleReadMutationCaught(t *testing.T) {
 		t.Fatal("stale-read mutation not caught — the session checker is blind")
 	}
 	sessionViolation := false
-	for _, v := range res.Report.Violations {
+	for _, v := range res.Violations() {
 		if strings.HasPrefix(v.Check, "session-") {
 			sessionViolation = true
 		}
 	}
 	if !sessionViolation {
-		t.Fatalf("mutation flagged, but not by a session check:\n%s", res.Report)
+		t.Fatalf("mutation flagged, but not by a session check:\n%s", res)
 	}
 
 	// Shrink the violating session's history to a minimal counterexample.

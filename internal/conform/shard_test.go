@@ -6,16 +6,16 @@ import (
 	"hamband/internal/chaos"
 )
 
-// TestShardedConformance replays generated sharded fault plans through the
-// per-shard checker: every shard's history must independently pass all
+// TestShardedConformance replays generated multi-shard fault plans through
+// the per-shard checker: every shard's history must independently pass all
 // five checks.
 func TestShardedConformance(t *testing.T) {
 	for _, class := range []string{"counter", "orset", "account"} {
 		class := class
 		t.Run(class, func(t *testing.T) {
-			res, err := RunSharded(chaos.GenerateSharded(class, 4, 120, 51, 4), chaos.Options{})
+			res, err := Run(chaos.GenerateSharded(class, 4, 120, 51, 4), chaos.Options{})
 			if err != nil {
-				t.Fatalf("RunSharded: %v", err)
+				t.Fatalf("Run: %v", err)
 			}
 			if len(res.Reports) != 4 {
 				t.Fatalf("checked %d shards, want 4: %v", len(res.Reports), res.Keys())
@@ -47,9 +47,9 @@ func TestCrossWireMutationCaught(t *testing.T) {
 		ShardMix:        2,
 		CrossWireShards: true,
 	}
-	res, err := RunSharded(plan, chaos.Options{})
+	res, err := Run(plan, chaos.Options{})
 	if err != nil {
-		t.Fatalf("RunSharded: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Conforms() {
 		t.Fatal("cross-wired apply loops conformed — the per-shard checker is blind to shard leakage")
@@ -69,9 +69,9 @@ func TestCrossWireMutationCaught(t *testing.T) {
 	// The identical plan without the mutation conforms: the violations
 	// above are caused by the cross-wiring, not by sharding itself.
 	plan.CrossWireShards = false
-	clean, err := RunSharded(plan, chaos.Options{})
+	clean, err := Run(plan, chaos.Options{})
 	if err != nil {
-		t.Fatalf("RunSharded (control): %v", err)
+		t.Fatalf("Run (control): %v", err)
 	}
 	if !clean.Conforms() {
 		t.Fatalf("un-mutated control does not conform:\n%s", clean)

@@ -3,17 +3,18 @@ package health_test
 import (
 	"testing"
 
-	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/health"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
+	"hamband/internal/store"
 )
 
 // TestSnapshotPathAddsZeroInvokeAllocs pins the health layer's core
 // promise: introspection is pull-only, so a cluster being watched allocates
-// exactly as much per invoke cycle as one that is not. The watched arm
+// exactly as much per invoke cycle as one that is not. The store under
+// measurement hosts one counter shard on one node; the watched arm
 // collects and observes a full snapshot around the measurement; if anyone
 // ever pushes per-invoke hooks into the hot path on behalf of health, the
 // two counts diverge and this test catches it.
@@ -21,18 +22,22 @@ func TestSnapshotPathAddsZeroInvokeAllocs(t *testing.T) {
 	measure := func(watched bool) float64 {
 		eng := sim.NewEngine(1)
 		fab := rdma.NewFabric(eng, 1, rdma.DefaultLatency())
-		opts := core.DefaultOptions()
-		opts.CheckIntegrity = false
-		c := core.NewCluster(fab, spec.MustAnalyze(crdt.NewCounter()), opts)
-		defer c.Stop()
+		opts := store.DefaultOptions()
+		opts.Core.CheckIntegrity = false
+		st := store.New(fab, opts)
+		defer st.Stop()
+		sh, err := st.Open("s00", spec.MustAnalyze(crdt.NewCounter()), store.ShardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng.RunFor(50 * sim.Microsecond) // settle elections before measuring
 
 		var wd *health.Watchdog
 		if watched {
 			wd = health.NewWatchdog(health.Config{})
-			wd.Observe(health.Collect(eng.Now(), c))
+			wd.Observe(health.Collect(eng.Now(), st))
 		}
-		r := c.Replica(0)
+		r := sh.Replica(0)
 		now := eng.Now()
 		allocs := testing.AllocsPerRun(200, func() {
 			r.Invoke(crdt.CounterAdd, spec.Args{I: []int64{1}}, nil)
@@ -40,9 +45,9 @@ func TestSnapshotPathAddsZeroInvokeAllocs(t *testing.T) {
 			eng.RunUntil(now)
 		})
 		if watched {
-			wd.Observe(health.Collect(eng.Now(), c))
+			wd.Observe(health.Collect(eng.Now(), st))
 			if fs := wd.Firings(); len(fs) != 0 {
-				t.Fatalf("healthy single-node cluster fired the watchdog: %+v", fs)
+				t.Fatalf("healthy single-node store fired the watchdog: %+v", fs)
 			}
 		}
 		return allocs

@@ -24,29 +24,26 @@ import (
 	"hamband/internal/store"
 )
 
-// Snapshot is one moment of cluster (or store) health, assembled by
-// Collect/CollectStore. All slices are copies: holding a snapshot across
-// further execution is safe.
+// Snapshot is one moment of store health, assembled by Collect. All slices
+// are copies: holding a snapshot across further execution is safe.
 type Snapshot struct {
-	At      sim.Time
-	Epoch   uint32
-	Members []bool
+	At    sim.Time
+	Epoch uint32 // highest configuration epoch across the shards
 
-	// Nodes holds per-node health. For a single-object cluster this is the
-	// full picture; for a sharded store it carries the node-level signals
-	// (suspicions, down state) while Shards carries the per-object detail.
+	// Nodes holds the node-level signals: down state and the shared
+	// failure detector's suspicions. Per-replica detail lives under Shards.
 	Nodes []NodeHealth
 
-	// Shards holds per-shard health for sharded stores, ordered by key.
-	// Nil for single-object clusters.
+	// Shards holds per-shard health, ordered by key.
 	Shards []ShardHealth
 
-	// Arenas holds per-node memory-budget health for sharded stores. Nil
-	// for single-object clusters (whose regions are statically sized).
+	// Arenas holds per-node memory-budget health.
 	Arenas []ArenaHealth
 }
 
-// NodeHealth is one replica's (or, in a sharded store, one node's) health.
+// NodeHealth is one replica's health (under Shards), or one node's
+// node-level signals (under Snapshot.Nodes, where only Node, Down and
+// Suspects are set).
 type NodeHealth struct {
 	Node int
 	Down bool // suspended or crashed (the fault injector's view)
@@ -105,16 +102,6 @@ type ArenaHealth struct {
 	Largest   int // largest single free extent: the admission headroom
 }
 
-// Collect assembles a snapshot of a single-object cluster at virtual time
-// at. Read-only: no events scheduled, no CPU charged.
-func Collect(at sim.Time, c *core.Cluster) *Snapshot {
-	s := &Snapshot{At: at, Epoch: uint32(c.Epoch()), Members: c.Members()}
-	for p := range c.Replicas {
-		s.Nodes = append(s.Nodes, collectNode(c, p))
-	}
-	return s
-}
-
 // collectNode gathers one replica's health.
 func collectNode(c *core.Cluster, p int) NodeHealth {
 	r := c.Replica(spec.ProcID(p))
@@ -165,9 +152,10 @@ func collectNode(c *core.Cluster, p int) NodeHealth {
 	return h
 }
 
-// CollectStore assembles a snapshot of a sharded store: node-level signals
-// (down state, suspicions, arena budgets) plus the full per-shard picture.
-func CollectStore(at sim.Time, st *store.Store) *Snapshot {
+// Collect assembles a snapshot of a store at virtual time at: node-level
+// signals (down state, suspicions, arena budgets) plus the full per-shard
+// picture. Read-only: no events scheduled, no CPU charged.
+func Collect(at sim.Time, st *store.Store) *Snapshot {
 	s := &Snapshot{At: at}
 	fab := st.Fabric()
 	fdom := st.FailureDomain()

@@ -113,7 +113,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Firing is one anomaly detection: a rule crossing its threshold for a
-// node (and shard, in sharded runs).
+// node, a shard, or a node within a shard.
 type Firing struct {
 	At        sim.Time `json:"at"`
 	Rule      Rule     `json:"rule"`
@@ -164,9 +164,6 @@ func (w *Watchdog) Firings() []Firing { return append([]Firing(nil), w.firings..
 // cadence (the chaos runner uses its probe ticker); the consecutive-
 // observation thresholds are denominated in that cadence.
 func (w *Watchdog) Observe(s *Snapshot) {
-	for i := range s.Nodes {
-		w.observeNode(s.At, "", &s.Nodes[i])
-	}
 	for i := range s.Shards {
 		sh := &s.Shards[i]
 		for j := range sh.Nodes {
@@ -221,13 +218,8 @@ func (w *Watchdog) observeNode(at sim.Time, shard string, n *NodeHealth) {
 	}
 }
 
-// observeLag evaluates watermark-lag per scope: the whole cluster for
-// single-object snapshots, each shard separately for sharded ones.
+// observeLag evaluates watermark-lag within each shard.
 func (w *Watchdog) observeLag(s *Snapshot) {
-	if len(s.Shards) == 0 {
-		w.lagScope(s.At, "", s.Nodes)
-		return
-	}
 	for i := range s.Shards {
 		w.lagScope(s.At, s.Shards[i].Key, s.Shards[i].Nodes)
 	}

@@ -7,11 +7,11 @@ import (
 	"hamband/internal/sim"
 )
 
-// snap builds a minimal single-node snapshot, mutated by mut.
-func snap(at int64, mut func(*Snapshot)) *Snapshot {
-	s := &Snapshot{At: sim.Time(at), Nodes: []NodeHealth{{Node: 0}}}
+// snap builds a minimal one-shard, single-node snapshot, mutated by mut.
+func snap(at int64, mut func(*NodeHealth)) *Snapshot {
+	s := &Snapshot{At: sim.Time(at), Shards: []ShardHealth{{Key: "s00", Nodes: []NodeHealth{{Node: 0}}}}}
 	if mut != nil {
-		mut(s)
+		mut(&s.Shards[0].Nodes[0])
 	}
 	return s
 }
@@ -27,9 +27,9 @@ func fired(t *testing.T, w *Watchdog, want int) []Firing {
 
 func TestReaderParkedThresholdAndRearm(t *testing.T) {
 	w := NewWatchdog(Config{})
-	parked := func(p bool) func(*Snapshot) {
-		return func(s *Snapshot) {
-			s.Nodes[0].Rings = []broadcast.SourceHealth{{Src: 1, Parked: p, ParkedWhy: "torn-write quarantine"}}
+	parked := func(p bool) func(*NodeHealth) {
+		return func(n *NodeHealth) {
+			n.Rings = []broadcast.SourceHealth{{Src: 1, Parked: p, ParkedWhy: "torn-write quarantine"}}
 		}
 	}
 	w.Observe(snap(1, parked(true)))
@@ -49,8 +49,8 @@ func TestReaderParkedThresholdAndRearm(t *testing.T) {
 
 func TestFloorStalledThreshold(t *testing.T) {
 	w := NewWatchdog(Config{})
-	pend := func(s *Snapshot) {
-		s.Nodes[0].Rings = []broadcast.SourceHealth{{Src: 2, HasPending: true, PendingMin: 3}}
+	pend := func(n *NodeHealth) {
+		n.Rings = []broadcast.SourceHealth{{Src: 2, HasPending: true, PendingMin: 3}}
 	}
 	for i := int64(1); i <= 4; i++ {
 		w.Observe(snap(i, pend))
@@ -67,8 +67,8 @@ func TestLeaderlessCountsSuspectedLeader(t *testing.T) {
 	w := NewWatchdog(Config{})
 	// The group reports a leader, but this node's own detector suspects it:
 	// effectively leaderless from here.
-	sus := func(s *Snapshot) {
-		s.Nodes[0].Groups = []GroupHealth{{Group: 0, Leader: 2, LeaderSuspect: true}}
+	sus := func(n *NodeHealth) {
+		n.Groups = []GroupHealth{{Group: 0, Leader: 2, LeaderSuspect: true}}
 	}
 	for i := int64(1); i <= 3; i++ {
 		w.Observe(snap(i, sus))
@@ -78,8 +78,8 @@ func TestLeaderlessCountsSuspectedLeader(t *testing.T) {
 		t.Fatalf("bad rule: %+v", fs[0])
 	}
 	// A healthy trusted leader clears and re-arms the episode.
-	w.Observe(snap(4, func(s *Snapshot) {
-		s.Nodes[0].Groups = []GroupHealth{{Group: 0, Leader: 2}}
+	w.Observe(snap(4, func(n *NodeHealth) {
+		n.Groups = []GroupHealth{{Group: 0, Leader: 2}}
 	}))
 	for i := int64(5); i <= 7; i++ {
 		w.Observe(snap(i, sus))
@@ -90,10 +90,10 @@ func TestLeaderlessCountsSuspectedLeader(t *testing.T) {
 func TestWatermarkLagNeedsFloorAndGrowth(t *testing.T) {
 	w := NewWatchdog(Config{})
 	lagged := func(at int64, applied uint64) *Snapshot {
-		return &Snapshot{At: sim.Time(at), Nodes: []NodeHealth{
+		return &Snapshot{At: sim.Time(at), Shards: []ShardHealth{{Key: "s00", Nodes: []NodeHealth{
 			{Node: 0, Applied: 10000},
 			{Node: 1, Applied: applied},
-		}}
+		}}}}
 	}
 	// Large but *constant* lag: never fires (in-flight backlog, not decay).
 	for i := int64(1); i <= 8; i++ {
