@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health cover check
+.PHONY: all build test vet fmt staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health smoke cover check
 
 all: check
 
@@ -14,6 +14,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # staticcheck runs when the binary is available and degrades to a notice
 # otherwise (the gate must not require network access to install tools).
@@ -79,21 +83,31 @@ health:
 	$(GO) test -run 'TestMetricsExportCompleteness' -count=1 -v ./internal/bench
 	$(GO) run ./cmd/hambench -exp health -ops 600
 
+# smoke runs the experiments no test drives end to end, small enough for
+# the gate: the keyed shard workload (cross-shard chained-WR counters stay
+# observably nonzero), the reconfiguration dip/recovery report and a short
+# hamtop render of the live view.
+smoke:
+	$(GO) run ./cmd/hambench -exp shard -ops 4000
+	$(GO) run ./cmd/hambench -exp reconfig
+	$(GO) run ./cmd/hambench -exp hamtop -frames 4
+
 # cover prints per-package statement coverage so test gaps stay visible.
 cover:
 	$(GO) test -cover ./... | grep -v 'no test files'
 
-# check is the full pre-merge gate: tier-1 build + tests, static analysis,
-# the race detector, a short fuzz budget over the wire-format parsers, the
-# chaos plan corpus and the refinement conformance corpus.
-check: build vet staticcheck test race fuzz chaos conform conform-sessions store health
+# check is the full pre-merge gate: tier-1 build + tests, formatting,
+# static analysis, the race detector, a short fuzz budget over the
+# wire-format parsers, the chaos plan corpus, the refinement conformance
+# corpus, the store, session and health gates and the experiment smoke runs.
+check: build fmt vet staticcheck test race fuzz chaos conform conform-sessions store health smoke
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR8.json
+SNAPSHOT ?= BENCH_PR13.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -103,8 +117,7 @@ bench-wire:
 	$(GO) run ./cmd/hambench -exp wire
 
 # bench-shard runs the sharded-store experiment: object-count and Zipfian
-# skew sweeps with hot-key reporting, cross-shard chained-WR counts and the
-# shared-vs-private doorbell-coalescer ablation.
+# skew sweeps with hot-key reporting and cross-shard chained-WR counts.
 SHARDS ?= 16
 bench-shard:
 	$(GO) run ./cmd/hambench -exp shard -shards $(SHARDS)
@@ -116,9 +129,9 @@ bench-reconfig:
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
-# drops by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR7.json
-NEW ?= BENCH_PR8.json
+# drops by more than that percentage.
+OLD ?= BENCH_PR13.json
+NEW ?= BENCH_PR13.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -39,8 +39,6 @@ type Options struct {
 
 	// Leader designates the initial leader (default process 0).
 	Leader spec.ProcID
-	// DisableFailureHandling turns off detectors and elections.
-	DisableFailureHandling bool
 }
 
 // DefaultOptions mirrors core.DefaultOptions' cost parameters.
@@ -59,17 +57,15 @@ type Cluster struct {
 	Fab      *rdma.Fabric
 	Class    *spec.Class
 	Replicas []*Replica
+	fdom     *heartbeat.Domain // owned: one beater and detector per node
 }
 
-// NewCluster builds the SMR deployment: one Mu group ordering all updates.
+// NewCluster builds the SMR deployment: one Mu group ordering all updates,
+// with a failure domain of its own electing a successor when the leader is
+// suspected.
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	mu.Setup(fab, group, opts.Mu, rdma.NodeID(opts.Leader))
-	if !opts.DisableFailureHandling {
-		for i := 0; i < fab.Size(); i++ {
-			heartbeat.Register(fab.Node(rdma.NodeID(i)))
-		}
-	}
-	c := &Cluster{Fab: fab, Class: an.Class}
+	c := &Cluster{Fab: fab, Class: an.Class, fdom: heartbeat.NewDomain(fab, opts.Heartbeat)}
 	for i := 0; i < fab.Size(); i++ {
 		c.Replicas = append(c.Replicas, newReplica(c, an, spec.ProcID(i), opts))
 	}
@@ -100,8 +96,7 @@ type Replica struct {
 	// is discarded on deposition, so σ never holds undecided effects.
 	sigmaSpec  spec.State
 	speculated map[callKey]bool
-	beater     *heartbeat.Beater
-	detector   *heartbeat.Detector
+	fdom       *heartbeat.Domain
 	n          int
 }
 
@@ -115,6 +110,7 @@ func newReplica(c *Cluster, an *spec.Analysis, id spec.ProcID, opts Options) *Re
 		applied:    spec.NewAppliedMap(c.Fab.Size(), len(an.Class.Methods)),
 		pending:    make(map[uint64]func(any, error)),
 		speculated: make(map[callKey]bool),
+		fdom:       c.fdom,
 		n:          c.Fab.Size(),
 	}
 	r.in = mu.NewInstance(c.Fab, r.node, group, opts.Mu, rdma.NodeID(opts.Leader))
@@ -126,11 +122,7 @@ func newReplica(c *Cluster, an *spec.Analysis, id spec.ProcID, opts Options) *Re
 			r.speculated = make(map[callKey]bool)
 		}
 	}
-	if !opts.DisableFailureHandling {
-		r.beater = heartbeat.NewBeater(c.Fab.Engine(), r.node, opts.Heartbeat.BeatPeriod)
-		r.detector = heartbeat.NewDetector(c.Fab, r.node, opts.Heartbeat)
-		r.detector.OnSuspect = r.onSuspect
-	}
+	c.fdom.Subscribe(int(id), r.onSuspect, nil)
 	return r
 }
 
@@ -146,8 +138,8 @@ func (r *Replica) CurrentState() spec.State { return r.sigma.Clone() }
 // Down reports whether the node has failed.
 func (r *Replica) Down() bool { return r.node.Suspended() || r.node.Crashed() }
 
-// Beater exposes the heartbeat thread for failure injection.
-func (r *Replica) Beater() *heartbeat.Beater { return r.beater }
+// Beater exposes the node's heartbeat thread for failure injection.
+func (r *Replica) Beater() *heartbeat.Beater { return r.fdom.Beater(int(r.id)) }
 
 // Instance exposes the consensus participant (tests).
 func (r *Replica) Instance() *mu.Instance { return r.in }
@@ -275,7 +267,7 @@ func (r *Replica) onSuspect(peer rdma.NodeID) {
 			r.in.StartElection()
 			return
 		}
-		if !r.detector.Suspected(next) {
+		if !r.fdom.Suspected(int(r.id), next) {
 			return
 		}
 	}

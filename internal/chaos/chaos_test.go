@@ -77,6 +77,23 @@ func TestRunIsReproducible(t *testing.T) {
 	if c.TraceHash == a.TraceHash {
 		t.Fatal("different seeds produced identical trace hashes")
 	}
+
+	// Plans that hold leader elections: a candidate must post its votes
+	// in the same order on every run, or the trace hash splits.
+	for _, plan := range []Plan{
+		GenerateReconfig("bankmap", 4, 120, 3101, 2),
+		GenerateReconfig("account", 4, 120, 3102, 2),
+		GenerateSharded("account", 4, 120, 3200, 3),
+	} {
+		hashes := make(map[uint64]int)
+		for i := 0; i < 12; i++ {
+			hashes[mustRun(t, plan, Options{}).TraceHash]++
+		}
+		if len(hashes) != 1 {
+			t.Errorf("%s seed %d shards %d: %d distinct trace hashes over 12 runs: %v",
+				plan.Class, plan.Seed, plan.ShardMix, len(hashes), hashes)
+		}
+	}
 }
 
 // --- plan JSON -------------------------------------------------------------

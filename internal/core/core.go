@@ -139,11 +139,11 @@ type Options struct {
 	// coalescer, which reproduces the single-object behavior exactly.
 	Coalescers []*rdma.Coalescer
 
-	// FailureDomain, when non-nil, supplies shared per-node heartbeat
-	// beaters and detectors; replicas subscribe instead of running their
-	// own, and the cluster skips heartbeat region registration. Nil (the
-	// default) keeps the per-cluster failure handling.
-	FailureDomain *FailureDomain
+	// FailureDomain, when non-nil, supplies the per-node heartbeat beaters
+	// and detectors, shared with other clusters on the fabric (a store's
+	// shards). Nil (the default) makes the cluster build and own a domain
+	// of its own; Stop stops only an owned one.
+	FailureDomain *heartbeat.Domain
 
 	// FreeDeliveryHook, when non-nil, intercepts every irreducible
 	// conflict-free broadcast delivery before the replica processes it.
@@ -188,6 +188,11 @@ type Cluster struct {
 	// replica has drained the departed source's remaining frames.
 	epoch   uint32
 	members []bool
+
+	// fdom is the failure domain the replicas subscribe to: Opts'
+	// FailureDomain, or one this cluster built (nil with failure handling
+	// disabled).
+	fdom *heartbeat.Domain
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -265,8 +270,11 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		}
 		er := node.Register(epochRegion(opts.Namespace), epochRegionSize)
 		er.AllowAllWrites() // any member may CAS-claim a reconfiguration
-		if !opts.DisableFailureHandling && opts.FailureDomain == nil {
-			heartbeat.Register(node)
+	}
+	if !opts.DisableFailureHandling {
+		c.fdom = opts.FailureDomain
+		if c.fdom == nil {
+			c.fdom = heartbeat.NewDomain(fab, c.Opts.Heartbeat)
 		}
 	}
 	c.members = make([]bool, n)
@@ -289,12 +297,16 @@ func (c *Cluster) Leader(p spec.ProcID, g int) spec.ProcID {
 // Replica returns the replica at process p.
 func (c *Cluster) Replica(p spec.ProcID) *Replica { return c.Replicas[p] }
 
-// Stop cancels every replica's pollers, detectors, heartbeats and
-// consensus instances. The cluster must not be used afterwards; memory
-// regions stay registered on the fabric.
+// Stop cancels every replica's pollers and consensus instances, then the
+// heartbeats and detectors of a failure domain the cluster owns (a shared
+// one is stopped by its owner). The cluster must not be used afterwards;
+// memory regions stay registered on the fabric.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.stop()
+	}
+	if c.fdom != nil && c.Opts.FailureDomain == nil {
+		c.fdom.Stop()
 	}
 }
 
@@ -355,12 +367,9 @@ type Replica struct {
 	lQueues [][]pendingEntry // per sync group
 
 	// Protocol components.
-	bc       *broadcast.Broadcaster
-	rx       *broadcast.Receiver
-	groups   []*mu.Instance
-	beater   *heartbeat.Beater
-	detector *heartbeat.Detector
-	fdom     *FailureDomain // shared failure handling; beater/detector stay nil-owned
+	bc     *broadcast.Broadcaster
+	rx     *broadcast.Receiver
+	groups []*mu.Instance
 
 	// Pending conflicting requests awaiting their ordered delivery.
 	pendingConf map[uint64]func(any, error)
@@ -525,20 +534,9 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.groups = append(r.groups, in)
 	}
 
-	// Failure handling: subscribe to the shared domain when one exists
-	// (the node beats once for all its shards), else run a private
-	// beater/detector pair as before.
-	if !c.Opts.DisableFailureHandling {
-		if fd := c.Opts.FailureDomain; fd != nil {
-			r.fdom = fd
-			fd.Subscribe(int(id), r.onSuspect, r.onRestore)
-			r.beater = fd.Beater(int(id))
-		} else {
-			r.beater = heartbeat.NewBeater(c.Fab.Engine(), r.node, c.Opts.Heartbeat.BeatPeriod)
-			r.detector = heartbeat.NewDetector(c.Fab, r.node, c.Opts.Heartbeat)
-			r.detector.OnSuspect = r.onSuspect
-			r.detector.OnRestore = r.onRestore
-		}
+	// Failure handling: the node beats once for every object it hosts.
+	if c.fdom != nil {
+		c.fdom.Subscribe(int(id), r.onSuspect, r.onRestore)
 	}
 
 	// Pollers.
@@ -555,10 +553,10 @@ func (r *Replica) ID() spec.ProcID { return r.id }
 // Node returns the underlying fabric node.
 func (r *Replica) Node() *rdma.Node { return r.node }
 
-// Beater returns the replica's heartbeat thread (nil when failure handling
-// is disabled); tests and the failure benchmarks suspend it to inject the
-// paper's failure mode.
-func (r *Replica) Beater() *heartbeat.Beater { return r.beater }
+// Beater returns the node's heartbeat thread from the failure domain (nil
+// when failure handling is disabled); tests and the failure benchmarks
+// suspend it to inject the paper's failure mode.
+func (r *Replica) Beater() *heartbeat.Beater { return r.cluster.fdom.Beater(int(r.id)) }
 
 // Group returns the consensus instance of synchronization group g.
 func (r *Replica) Group(g int) *mu.Instance { return r.groups[g] }
@@ -582,9 +580,8 @@ func (r *Replica) DeltaStats() (deltas, anchors, gapFetches uint64) {
 	return r.statDeltas, r.statAnchors, r.statGapFetch
 }
 
-// stop cancels the replica's background activity. Shared failure-domain
-// components outlive the replica (other shards still use them); the domain
-// owner stops them via FailureDomain.Stop.
+// stop cancels the replica's background activity. The failure domain
+// outlives the replica; its owner stops it.
 func (r *Replica) stop() {
 	for _, t := range r.tickers {
 		t.Cancel()
@@ -592,14 +589,5 @@ func (r *Replica) stop() {
 	r.rx.Stop()
 	for _, in := range r.groups {
 		in.Stop()
-	}
-	if r.fdom != nil {
-		return
-	}
-	if r.beater != nil {
-		r.beater.Stop()
-	}
-	if r.detector != nil {
-		r.detector.Stop()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hamband/internal/crdt"
+	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -931,6 +932,31 @@ func TestClusterStopQuiescesEngine(t *testing.T) {
 	h.eng.Run() // must terminate: nothing re-arms
 	if h.eng.Pending() != 0 {
 		t.Fatalf("engine still has %d pending events after Stop", h.eng.Pending())
+	}
+}
+
+func TestSuppliedFailureDomainOutlivesCluster(t *testing.T) {
+	// A domain passed in Options belongs to the caller: the cluster
+	// subscribes to it but Stop leaves its beaters and detectors running.
+	eng := sim.NewEngine(142)
+	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+	fd := heartbeat.NewDomain(fab, heartbeat.DefaultConfig())
+	opts := DefaultOptions()
+	opts.FailureDomain = fd
+	c := NewCluster(fab, spec.MustAnalyze(crdt.NewCounter()), opts)
+	if c.Replica(2).Beater() != fd.Beater(2) {
+		t.Fatal("replica does not use the supplied domain's beater")
+	}
+	c.Stop()
+	fd.Beater(2).Suspend()
+	eng.RunFor(sim.Millisecond)
+	if !fd.Suspected(0, 2) {
+		t.Fatal("supplied domain stopped with the cluster")
+	}
+	fd.Stop()
+	eng.Run()
+	if eng.Pending() != 0 {
+		t.Fatalf("engine still has %d pending events after both stops", eng.Pending())
 	}
 }
 

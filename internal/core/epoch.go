@@ -246,21 +246,11 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 
 	// Failure-detector membership: a departed node is outside the view (no
 	// suspicion, no checks), an admitted one is watched from a clean slate.
-	if fd := c.Opts.FailureDomain; fd != nil {
+	if fd := c.fdom; fd != nil {
 		if join {
 			fd.Watch(t)
 		} else {
 			fd.Forget(t)
-		}
-	}
-	for _, r := range c.Replicas {
-		if r.detector == nil {
-			continue
-		}
-		if join {
-			r.detector.Watch(t)
-		} else {
-			r.detector.Forget(t)
 		}
 	}
 

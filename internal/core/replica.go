@@ -571,7 +571,8 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 // writer's own copy, whose anchor area always holds the current full frame.
 // At most one fetch per slot is outstanding.
 func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
-	if slot.fetching || r.detectorSuspects(p) {
+	// Repair already targets suspects, so gap fetches skip them.
+	if slot.fetching || r.suspected(rdma.NodeID(p)) {
 		return
 	}
 	slot.fetching = true
@@ -585,22 +586,10 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	})
 }
 
-// detectorSuspects reports whether peer p is currently suspected: repair
-// already targets suspects, so gap fetches skip them.
-func (r *Replica) detectorSuspects(p spec.ProcID) bool {
-	return r.suspected(rdma.NodeID(p))
-}
-
-// suspected consults whichever failure detector this replica runs on: its
-// private one, the shared domain's, or none (failure handling disabled).
+// suspected reports whether this replica's node suspects peer (never with
+// failure handling disabled).
 func (r *Replica) suspected(peer rdma.NodeID) bool {
-	if r.detector != nil {
-		return r.detector.Suspected(peer)
-	}
-	if r.fdom != nil {
-		return r.fdom.Suspected(int(r.id), peer)
-	}
-	return false
+	return r.cluster.fdom.Suspected(int(r.id), peer)
 }
 
 // --- irreducible conflict-free calls (rules FREE / FREE-APP) -------------

@@ -799,9 +799,12 @@ func (in *Instance) StartElection() {
 	in.grants = map[rdma.NodeID]uint64{in.node.ID(): in.lastDelivered}
 	// Self-vote: take write permission on the local log ring.
 	in.switchLogPermission(in.node.ID())
-	for peer, oc := range in.voteOut {
-		_ = peer
-		in.send(oc, encodeVote(in.term, in.node.ID()), nil)
+	// Post in peer order, not map order, so an election replays the same
+	// verb sequence on every run.
+	for p := 0; p < in.n; p++ {
+		if oc := in.voteOut[rdma.NodeID(p)]; oc != nil {
+			in.send(oc, encodeVote(in.term, in.node.ID()), nil)
+		}
 	}
 	in.maybeLead()
 }

@@ -16,7 +16,7 @@
 //     rdma.Coalescer — WRs from different shards bound for the same peer
 //     ride one PostChain doorbell (CoalesceStats.CrossChains counts them).
 //   - Failure handling. One heartbeat thread and one detector per node
-//     (core.FailureDomain); a node's shards are suspected and recovered
+//     (heartbeat.Domain); a node's shards are suspected and recovered
 //     together, as one process.
 //
 // Per shard: a disjoint region namespace, per-source broadcast rings, one
@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"hamband/internal/core"
+	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
 	"hamband/internal/spec"
@@ -69,11 +70,6 @@ type Options struct {
 	// merged history that trace.ByShard decomposes.
 	Tracer *trace.Tracer
 
-	// PrivateCoalescers gives each shard private per-replica coalescers
-	// instead of the shared per-node ones — the ablation baseline that
-	// cannot chain WRs across shards.
-	PrivateCoalescers bool
-
 	// CrossWire is a negative control for the conformance harness: free
 	// broadcast deliveries of paired shards (0↔1, 2↔3, … in open order)
 	// are rerouted into the partner shard's apply loop. Per-shard
@@ -90,9 +86,9 @@ func DefaultOptions() Options {
 // ShardOptions tunes one shard at Open; zero values inherit the store's
 // Core template. Hot shards earn bigger rings and slots through these.
 type ShardOptions struct {
-	SumSlotSize    int // summary-slot bytes (hot shards: bigger summaries/δ-logs)
-	RingCapacity   int // broadcast and Mu log/request ring capacity
-	AnchorInterval int // δ-records between full anchors
+	SumSlotSize    int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
+	RingCapacity   int           // broadcast and Mu log/request ring capacity
+	AnchorInterval int           // δ-records between full anchors
 	Leaders        []spec.ProcID // explicit group leaders (default: staggered by shard index)
 }
 
@@ -104,7 +100,7 @@ type Store struct {
 
 	arenas []*rdma.Arena     // per node: the budgeted parent region
 	coals  []*rdma.Coalescer // per node: shared write coalescer
-	fdom   *core.FailureDomain
+	fdom   *heartbeat.Domain
 
 	shards  map[string]*Shard
 	keys    []string // open keys in open order (cross-wire pairing)
@@ -114,8 +110,8 @@ type Store struct {
 
 // Shard is one replicated object hosted by the store.
 type Shard struct {
-	Key     string
-	Cluster *core.Cluster
+	Key       string
+	Cluster   *core.Cluster
 	ns        string
 	footprint int
 }
@@ -146,7 +142,7 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 		s.coals = append(s.coals, rdma.NewCoalescer(node))
 	}
 	if !opts.Core.DisableFailureHandling {
-		s.fdom = core.NewFailureDomain(fab, opts.Core.Heartbeat)
+		s.fdom = heartbeat.NewDomain(fab, opts.Core.Heartbeat)
 	}
 	return s
 }
@@ -232,9 +228,7 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 	co.ShardTag = key
 	co.Tracer = s.opts.Tracer.Scoped(key)
 	co.FailureDomain = s.fdom
-	if !s.opts.PrivateCoalescers {
-		co.Coalescers = s.coals
-	}
+	co.Coalescers = s.coals
 	co.Leaders = so.Leaders
 	if co.Leaders == nil {
 		leaders := make([]spec.ProcID, len(an.SyncGroups))
@@ -376,12 +370,12 @@ func (s *Store) Headroom(node int) (available, largest int) {
 }
 
 // Coalescer returns the node's shared write coalescer (its stats expose
-// the cross-shard chains); nil stats-wise only under PrivateCoalescers.
+// the cross-shard chains).
 func (s *Store) Coalescer(node int) *rdma.Coalescer { return s.coals[node] }
 
 // FailureDomain returns the shared failure-handling infrastructure (nil
 // when the Core template disables failure handling).
-func (s *Store) FailureDomain() *core.FailureDomain { return s.fdom }
+func (s *Store) FailureDomain() *heartbeat.Domain { return s.fdom }
 
 // Fabric returns the underlying fabric.
 func (s *Store) Fabric() *rdma.Fabric { return s.fab }
