@@ -51,8 +51,8 @@ chaos:
 # classes, checked deterministic), every committed chaos corpus plan, the
 # multi-shard plans checked shard by shard, plus the harness's own mutation
 # controls (an injected apply-order bug must be caught and shrunk to <= 8
-# calls; cross-wired shards must be caught as identity violations). See
-# `hambench -exp conform` for the exploratory version.
+# calls; cross-wired shards must be caught as identity violations). Every
+# `hambench -exp chaos` run is traced and checked the same way.
 conform:
 	$(GO) test -run 'TestConformCorpus|TestCorpusConforms|TestMutated|TestShardedConformance|TestCrossWireMutationCaught' -count=1 -v ./internal/conform
 
@@ -128,13 +128,10 @@ bench-reconfig:
 	$(GO) run ./cmd/hambench -exp reconfig
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
-# MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
-# drops by more than that percentage.
 OLD ?= BENCH_PR13.json
 NEW ?= BENCH_PR13.json
-MAXREGRESS ?= 0
 benchstat:
-	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)
+	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 
 # Each fuzz target gets a short fixed budget; go test only allows one
 # -fuzz pattern per package invocation.

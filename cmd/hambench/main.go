@@ -3,37 +3,33 @@
 //
 // Usage:
 //
-//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|analysis|metrics|latency|shard|reconfig|chaos|conform|health|hamtop]
+//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|doorbell|costs|trace|overview|analysis|metrics|latency|wire|shard|reconfig|snapshot|benchstat|chaos|health|hamtop]
 //	         [-ops N] [-seed N] [-metrics-json FILE] [-chrome-trace FILE]
-//	         [-latency-json FILE] [-shards N] [-shard-json FILE]
+//	         [-latency-json FILE] [-wire-json FILE] [-shards N] [-shard-json FILE]
+//	         [-snapshot-out FILE] [-old FILE -new FILE]
 //	         [-plans N] [-plan-json FILE] [-chaos-dir DIR]
-//	         [-conform-seeds N] [-conform-dump DIR]
 //	         [-health-json FILE] [-frames N]
 //
 // The shard experiment drives a keyed counter workload against the sharded
 // multi-object store: object-count and Zipfian-skew sweeps with per-shard
-// (hot-key) throughput reporting, cross-shard chained-WR counts on the
-// shared per-peer QPs, and the shared-vs-private doorbell-coalescer
-// ablation. -shards sets the largest object count; -shard-json dumps every
-// measured point.
+// (hot-key) throughput reporting and cross-shard chained-WR counts on the
+// shared per-peer QPs. -shards sets the largest object count; -shard-json
+// dumps every measured point.
 //
 // The chaos experiment explores -plans randomized, seed-reproducible fault
 // plans (node suspensions, link partitions, latency spikes, torn-write
 // windows, leader kills) against live clusters and checks convergence,
 // integrity, and exactly-once delivery after heal; -plan-json replays one
-// failing plan's JSON artifact. Torn windows ("kind": "torn"/"tornheal")
-// land each write's interior bytes after its boundary bytes — the
-// out-of-order delivery NICs permit within one work request — which the
-// CRC-validated slot and record frames must reject and retry rather than
-// false-accept.
-//
-// The conform experiment runs -conform-seeds seeded random workloads (with
-// and without fault plans) with lifecycle tracing on and replays every
-// history through the abstract WRDT semantics, checking local
-// permissibility, conflict-synchronization, dependency preservation,
-// exactly-once delivery and query explainability; non-conforming histories
-// are shrunk and dumped under -conform-dump. -plan-json replays a single
-// dumped plan through the checker instead.
+// failing plan's JSON artifact. Every run is traced and each shard's
+// history is replayed through the concrete semantics of the paper's Fig. 7
+// (package conform: local permissibility, conflict order, dependency
+// preservation, exactly-once, query explainability); a non-conforming
+// history fails the plan like a failed probe, and a -plan-json replay
+// prints one conformance report per shard. Torn windows ("kind":
+// "torn"/"tornheal") land each write's interior bytes after its boundary
+// bytes — the out-of-order delivery NICs permit within one work request —
+// which the CRC-validated slot and record frames must reject and retry
+// rather than false-accept.
 //
 // The health experiment runs one fixed-seed fault plan with the anomaly
 // watchdog attached: every firing is classified against the injected
@@ -71,20 +67,18 @@ import (
 
 	"hamband/internal/bench"
 	"hamband/internal/chaos"
-	"hamband/internal/conform"
 	"hamband/internal/crdt"
 	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, analysis, metrics, latency, wire, shard, reconfig, snapshot, benchstat, chaos, conform, health, hamtop")
+	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, analysis, metrics, latency, wire, shard, reconfig, snapshot, benchstat, chaos, health, hamtop")
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
 	metricsJSON := flag.String("metrics-json", "", "write the metrics experiment's registry snapshot as JSON to FILE")
 	latencyJSON := flag.String("latency-json", "", "write the latency experiment's per-stage snapshot as JSON to FILE (compare with -exp benchstat)")
 	wireJSON := flag.String("wire-json", "", "write the wire experiment's per-class snapshot as JSON to FILE (compare with -exp benchstat)")
-	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any fig8 point's throughput drops by more than this percentage (0 disables)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	snapshotOut := flag.String("snapshot-out", "BENCH.json", "output file for the snapshot experiment")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
@@ -92,8 +86,6 @@ func main() {
 	plans := flag.Int("plans", 30, "chaos: number of randomized fault plans to explore")
 	planJSON := flag.String("plan-json", "", "chaos: replay one fault plan from FILE instead of exploring")
 	chaosDir := flag.String("chaos-dir", ".", "chaos: directory for failing-plan JSON dumps")
-	conformSeeds := flag.Int("conform-seeds", 12, "conform: number of seeded workloads to check")
-	conformDump := flag.String("conform-dump", ".", "conform: directory for shrunk counterexample dumps")
 	shards := flag.Int("shards", 16, "shard: objects hosted by the sharded store at the largest sweep point")
 	shardJSON := flag.String("shard-json", "", "shard: write every measured point as JSON to FILE")
 	healthJSON := flag.String("health-json", "", "health: write the watchdog firing counts as JSON to FILE (compare with -exp benchstat)")
@@ -124,7 +116,7 @@ func main() {
 	case "snapshot":
 		writeSnapshot(cfg, *snapshotOut)
 	case "benchstat":
-		compareSnapshots(*oldSnap, *newSnap, *maxRegress)
+		compareSnapshots(*oldSnap, *newSnap)
 	case "costs":
 		cfg.Costs()
 	case "trace":
@@ -151,8 +143,6 @@ func main() {
 		printAnalyses()
 	case "chaos":
 		runChaos(cfg, *plans, *planJSON, *chaosDir)
-	case "conform":
-		runConform(cfg, *conformSeeds, *planJSON, *conformDump)
 	default:
 		fmt.Fprintf(os.Stderr, "hambench: unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -162,7 +152,8 @@ func main() {
 
 // runChaos runs the chaos experiment: randomized seed-reproducible fault
 // plans by default, or a single-plan replay when -plan-json is given. A
-// nonzero exit reports that at least one plan violated an invariant probe.
+// nonzero exit reports that at least one plan violated an invariant probe
+// or did not conform.
 func runChaos(cfg bench.Config, plans int, planJSON, dumpDir string) {
 	if planJSON != "" {
 		f, err := os.Open(planJSON)
@@ -176,53 +167,20 @@ func runChaos(cfg bench.Config, plans int, planJSON, dumpDir string) {
 			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
 			os.Exit(1)
 		}
-		v, err := chaos.Run(plan, chaos.Options{})
+		v, err := chaos.Run(plan, chaos.Options{TraceLimit: chaos.DefaultTraceLimit})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("replay %s\n", v.Summary())
-		if !v.Passed {
-			fmt.Print(chaos.FormatViolations(v))
+		fmt.Print(chaos.FormatViolations(v))
+		fmt.Println(chaos.FormatReports(v))
+		if !v.Passed || !v.Conforms() {
 			os.Exit(1)
 		}
 		return
 	}
 	if cfg.Chaos(plans, dumpDir) > 0 {
-		os.Exit(1)
-	}
-}
-
-// runConform runs the refinement conformance experiment: seeded random
-// workloads replayed through the abstract semantics, or a single-plan
-// replay when -plan-json is given. A nonzero exit reports at least one
-// non-conforming history.
-func runConform(cfg bench.Config, seeds int, planJSON, dumpDir string) {
-	if planJSON != "" {
-		f, err := os.Open(planJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-			os.Exit(1)
-		}
-		plan, err := chaos.ReadPlan(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-			os.Exit(1)
-		}
-		res, err := conform.Run(plan, chaos.Options{})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("replay %s\n", res.Verdict.Summary())
-		fmt.Println(res)
-		if !res.Conforms() {
-			os.Exit(1)
-		}
-		return
-	}
-	if cfg.Conform(seeds, dumpDir) > 0 {
 		os.Exit(1)
 	}
 }
@@ -244,10 +202,7 @@ func writeSnapshot(cfg bench.Config, path string) {
 }
 
 // compareSnapshots prints throughput and p99 deltas between two snapshots.
-// With a nonzero maxRegress it additionally gates the fig8 points: any
-// matched point whose throughput dropped by more than that percentage makes
-// the command exit nonzero — the CI regression check.
-func compareSnapshots(oldPath, newPath string, maxRegress float64) {
+func compareSnapshots(oldPath, newPath string) {
 	if oldPath == "" || newPath == "" {
 		fmt.Fprintln(os.Stderr, "hambench: -exp benchstat needs -old FILE and -new FILE")
 		os.Exit(2)
@@ -266,17 +221,7 @@ func compareSnapshots(oldPath, newPath string, maxRegress float64) {
 		}
 		return s
 	}
-	old, cur := read(oldPath), read(newPath)
-	bench.CompareSnapshots(os.Stdout, old, cur)
-	if maxRegress > 0 {
-		bad := bench.RegressionCheck(old, cur, "fig8", maxRegress)
-		for _, msg := range bad {
-			fmt.Fprintf(os.Stderr, "hambench: regression: %s\n", msg)
-		}
-		if len(bad) > 0 {
-			os.Exit(1)
-		}
-	}
+	bench.CompareSnapshots(os.Stdout, read(oldPath), read(newPath))
 }
 
 // fileWriter opens path for writing, or returns nil when no path was given

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"hamband/internal/crdt"
 	"hamband/internal/schema"
@@ -139,32 +138,6 @@ func (cfg Config) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// RegressionCheck compares every current point whose experiment name starts
-// with prefix against the baseline and returns one message per point whose
-// throughput dropped by more than maxDropPct percent. Points missing from
-// either side are ignored — only like-for-like pairs can regress.
-func RegressionCheck(old, cur Snapshot, prefix string, maxDropPct float64) []string {
-	idx := make(map[string]SnapPoint, len(old.Points))
-	for _, p := range old.Points {
-		idx[p.key()] = p
-	}
-	var bad []string
-	for _, np := range cur.Points {
-		if !strings.HasPrefix(np.Experiment, prefix) {
-			continue
-		}
-		op, ok := idx[np.key()]
-		if !ok || op.OpsPerUs == 0 {
-			continue
-		}
-		if d := pctDelta(op.OpsPerUs, np.OpsPerUs); d < -maxDropPct {
-			bad = append(bad, fmt.Sprintf("%s %s %s: throughput %.2f -> %.2f ops/µs (%.1f%%)",
-				np.Experiment, np.System, np.Class, op.OpsPerUs, np.OpsPerUs, d))
-		}
-	}
-	return bad
 }
 
 // WriteJSON writes the snapshot as indented JSON.

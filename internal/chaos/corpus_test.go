@@ -15,12 +15,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/chaos/hashes.gol
 
 // goldenPath pins every corpus plan's trace hash under the two option sets
 // the corpus is replayed with: the chaos gate's defaults and the
-// conformance harness's (conform.Run attaches a 1<<19-event tracer and
-// issues a query every other batch; the tracer costs no virtual time, the
-// query mix changes the schedule).
+// conformance tests' (a DefaultTraceLimit tracer, which also checks every
+// shard's history, and a query every other batch; the tracer and the check
+// cost no virtual time, the query mix changes the schedule).
 var goldenPath = filepath.Join("testdata", "chaos", "hashes.golden")
 
-func conformOptions() Options { return Options{TraceLimit: 1 << 19, QueryMix: 2} }
+func conformOptions() Options { return Options{TraceLimit: DefaultTraceLimit, QueryMix: 2} }
 
 // TestCorpus replays the committed fixed-seed plan corpus — the `make
 // chaos` gate. Every plan must pass every probe, and every trace hash must

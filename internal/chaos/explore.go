@@ -18,8 +18,14 @@ type ExploreOptions struct {
 	Nodes   int      // cluster size per plan (default 4)
 	Ops     int      // workload updates per plan (default 120)
 	DumpDir string   // failing plans are written here (default ".")
-	Run     Options  // runner options shared by all plans
+	Run     Options  // runner options shared by all plans (TraceLimit defaults to DefaultTraceLimit)
 }
+
+// DefaultTraceLimit sizes the tracer of a checked run (Explore, hambench
+// -plan-json replays and the conformance tests): large enough that
+// exploration-scale workloads never drop events (a dropped event makes the
+// history unexplainable and is reported as a trace violation).
+const DefaultTraceLimit = 1 << 19
 
 func (o ExploreOptions) withDefaults() ExploreOptions {
 	if o.Plans <= 0 {
@@ -37,14 +43,18 @@ func (o ExploreOptions) withDefaults() ExploreOptions {
 	if o.DumpDir == "" {
 		o.DumpDir = "."
 	}
+	if o.Run.TraceLimit <= 0 {
+		o.Run.TraceLimit = DefaultTraceLimit
+	}
 	return o
 }
 
 // Explore generates and runs o.Plans randomized fault plans, round-robined
-// across o.Classes, printing one verdict line per plan to w. Each failing
-// plan is shrunk to a minimal reproducer and dumped as JSON under
-// o.DumpDir for replay with `hambench -exp chaos -plan-json FILE`. It
-// returns the number of failing plans and the dumped file paths.
+// across o.Classes, printing one verdict line per plan to w. Every run is
+// traced, so a plan fails when a probe fails or a shard's history does not
+// conform. Each failing plan is shrunk to a minimal reproducer and dumped
+// as JSON under o.DumpDir for replay with `hambench -exp chaos -plan-json
+// FILE`. It returns the number of failing plans and the dumped file paths.
 func Explore(w io.Writer, o ExploreOptions) (failures int, dumped []string) {
 	o = o.withDefaults()
 	fmt.Fprintf(w, "chaos exploration: %d plans, classes %v, %d nodes, %d ops/plan, base seed %d\n",
@@ -59,14 +69,17 @@ func Explore(w io.Writer, o ExploreOptions) (failures int, dumped []string) {
 			continue
 		}
 		fmt.Fprintf(w, "plan %3d %s\n", i, v.Summary())
-		if v.Passed {
+		if v.Passed && v.Conforms() {
 			continue
 		}
 		failures++
 		fmt.Fprint(w, FormatViolations(v))
+		if !v.Conforms() {
+			fmt.Fprintln(w, FormatReports(v))
+		}
 		min := Shrink(plan, func(cand Plan) bool {
 			cv, err := Run(cand, o.Run)
-			return err == nil && !cv.Passed
+			return err == nil && !(cv.Passed && cv.Conforms())
 		})
 		if path, err := DumpPlan(o.DumpDir, min); err != nil {
 			fmt.Fprintf(w, "  (could not dump failing plan: %v)\n", err)

@@ -185,9 +185,28 @@ func (p Plan) dropCandidate(i int) Plan {
 // Shrink greedily minimizes a failing plan: it repeatedly tries dropping
 // one event at a time (a leave/join pair counts as one unit), keeping any
 // drop after which failing still reports true, until no single event can
-// be removed. failing is typically a closure over Run; with ≤ a dozen
-// events the quadratic pass stays cheap.
+// be removed; then it finds the smallest workload that still fails, and
+// drops events once more. Workloads are prefix-stable — the first k calls
+// of an Ops=n plan are exactly the Ops=k plan — so the ops stage scans
+// upward from 1 and takes the first failing prefix, which sidesteps the
+// local minima a greedy decrement gets stuck in (a schedule can fail at 6
+// ops, pass at 20, and fail again at 40). failing is typically a closure
+// over Run; with ≤ a dozen events the quadratic passes stay cheap.
 func Shrink(p Plan, failing func(Plan) bool) Plan {
+	p = dropEvents(p, failing)
+	for ops := 1; ops < p.Ops; ops++ {
+		q := p
+		q.Ops = ops
+		if failing(q) {
+			p = q
+			break
+		}
+	}
+	return dropEvents(p, failing)
+}
+
+// dropEvents is Shrink's event stage.
+func dropEvents(p Plan, failing func(Plan) bool) Plan {
 	for {
 		removed := false
 		for i := 0; i < len(p.Events); i++ {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
+	"hamband/internal/conform"
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/health"
@@ -32,9 +34,10 @@ type Options struct {
 	EnableMetrics bool
 
 	// TraceLimit, when positive, attaches a lifecycle tracer holding up to
-	// that many events; the tracer is returned on the verdict so the
-	// conformance harness can replay the history. Tracing costs no virtual
-	// time, so trace hashes are unchanged by it.
+	// that many events; the tracer is returned on the verdict, and every
+	// shard's history is replayed through conform.Check into
+	// Verdict.Reports. Tracing costs no virtual time and the check runs
+	// after the trace hash is sealed, so trace hashes are unchanged by it.
 	TraceLimit int
 
 	// FlightWindow, when positive, attaches a flight-recorder tracer
@@ -46,8 +49,8 @@ type Options struct {
 
 	// QueryMix, when positive, issues one random query every QueryMix
 	// workload batches, alternating plain and recency-aware (InvokeFresh)
-	// evaluation. The conformance harness uses it so traces carry query
-	// results to explain; query errors during faults are not violations.
+	// evaluation, so traced runs carry query results for the conformance
+	// check to explain; query errors during faults are not violations.
 	QueryMix int
 }
 
@@ -100,6 +103,12 @@ type Verdict struct {
 	Metrics *metrics.Registry // non-nil when Options.EnableMetrics
 	Trace   *trace.Tracer     // non-nil when Options.TraceLimit or FlightWindow > 0
 	Correct []bool            // per node: eligible for end-state probes (never crashed, not still down)
+
+	// Reports holds one conformance report per shard key when the run was
+	// traced with TraceLimit (and no FlightWindow); nil otherwise. They do
+	// not feed Passed: a run can conform and still fail a probe, and a
+	// probe can pass while the history is unexplainable.
+	Reports map[string]*conform.Report
 
 	// Reconfigs counts the membership changes that committed (join/leave
 	// events that won their epoch claim, plus the heal-time rejoins); on a
@@ -350,6 +359,55 @@ func (r *runner) run() {
 		}
 	}
 	r.st.Stop()
+	if r.opts.TraceLimit > 0 && r.opts.FlightWindow <= 0 {
+		r.checkConformance()
+	}
+}
+
+// checkConformance replays each shard's history through conform.Check,
+// exactly as if that shard were a standalone cluster (per-object checking
+// is what replication-aware linearizability asks for). Events that belong
+// to no shard — heartbeats and other fabric-level traffic — carry nothing
+// the checks read and are dropped. RequireIssued is on: the trace is
+// complete, and a call applied in one shard but issued in another is
+// exactly the leakage a per-shard check exists to catch (the plan's
+// CrossWireShards knob is that mutation control).
+func (r *runner) checkConformance() {
+	events := r.v.Trace.Events()
+	byShard := trace.ByShard(events)
+	delete(byShard, "")
+	r.v.Reports = make(map[string]*conform.Report, len(byShard))
+	for key, evs := range byShard {
+		rep := conform.Check(r.an, evs, conform.Options{
+			Nodes:         r.plan.Nodes,
+			Quiescent:     r.v.Drained,
+			Correct:       r.v.Correct,
+			RequireIssued: true,
+		})
+		if r.plan.Sessions > 0 {
+			// Sessions run on the plan's only shard; their records are
+			// client-side and carry no shard tag.
+			rep.Violations = append(rep.Violations, conform.CheckSessions(events)...)
+		}
+		if d := r.v.Trace.Dropped(); d > 0 {
+			rep.Violations = append([]conform.Violation{{
+				Check: "trace", Node: -1,
+				Detail: fmt.Sprintf("%d events dropped beyond the %d-event trace limit; history incomplete", d, r.opts.TraceLimit),
+			}}, rep.Violations...)
+		}
+		r.v.Reports[key] = rep
+	}
+}
+
+// Conforms reports whether the run was checked and every shard's history
+// is explainable by the abstract semantics.
+func (v *Verdict) Conforms() bool {
+	for _, rep := range v.Reports {
+		if !rep.OK() {
+			return false
+		}
+	}
+	return len(v.Reports) > 0
 }
 
 // multi reports whether the plan spreads its workload over several shards.
@@ -888,4 +946,19 @@ func FormatViolations(v *Verdict) string {
 		fmt.Fprintf(&b, "  %s\n", viol)
 	}
 	return b.String()
+}
+
+// FormatReports renders the verdict's conformance reports, one per shard
+// in key order, each prefixed with its key.
+func FormatReports(v *Verdict) string {
+	keys := make([]string, 0, len(v.Reports))
+	for k := range v.Reports {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	lines := make([]string, len(keys))
+	for i, k := range keys {
+		lines[i] = fmt.Sprintf("%s: %s", k, v.Reports[k])
+	}
+	return strings.Join(lines, "\n")
 }

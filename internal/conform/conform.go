@@ -8,18 +8,23 @@
 // et al. (VeriFx), replicated-type bugs actually hide.
 //
 // The checker replays a trace.Tracer history (structured lifecycle events
-// recorded by core behind Options.Tracer) through the abstract semantics,
-// reconstructing each replica's state, summary slots and applied-call
-// counts, and verifies five properties:
+// recorded by core behind Options.Tracer) on an rdmawrdt.Config, the
+// configuration of the paper's Fig. 7: each event fires the matching
+// per-process piece of a concrete rule — a Reduce event is REDUCE at the
+// origin and an Adopt its summary install elsewhere, a FreeSend is the
+// local half of FREE/CONF, an Apply is FREE-APP/CONF-APP and a Query is
+// QUERY — and the rule's side conditions become checks:
 //
 //  1. local permissibility — every applied update was permissible against
-//     the replica's reconstructed pre-state (the P(σ,c) side condition of
-//     rules CALL and PROP; by Lemma 1 this is what preserves integrity);
+//     the replica's replayed pre-state (rdmawrdt.Config.Permissible, the
+//     P(σ,c) side condition of rules CALL and PROP; by Lemma 1 this is what
+//     preserves integrity);
 //  2. conflict-synchronization — conflicting calls of one synchronization
-//     group are applied in one total order at all replicas (callConfSync /
-//     propConfSync);
+//     group are sequenced by a leader and applied in one total order at
+//     all replicas (callConfSync / propConfSync);
 //  3. dependency-preservation — no call is applied before the dependencies
-//     in its recorded dependency vector (propDepPres);
+//     in its recorded dependency vector (rdmawrdt.Config.Ready, D ≤ A;
+//     propDepPres);
 //  4. exactly-once — each acknowledged call is applied exactly once per
 //     correct replica (at-most-once per identity during the run, and
 //     applied-count agreement with the acknowledgment set at quiescence);
@@ -27,13 +32,13 @@
 //     abstract query evaluated over the replayed, applied-set-consistent
 //     state of the replica that answered it.
 //
-// Beyond the five, the checker validates summarization correctness (a
+// Beyond the five, the checker validates call identity (an applied record
+// is the call issued under its identity), summarization correctness (a
 // Reduce event's post-state must equal pre-state + call — the summary
-// really stands for its calls), slot-version monotonicity, and replayed
-// convergence at quiescence. Run/Explore/Shrink wrap the chaos runner to
-// drive seeded random workloads (with and without fault plans) through the
-// checker and shrink any non-conforming history to a minimal replayable
-// counterexample.
+// really stands for its calls), slot-version monotonicity, replayed
+// convergence at quiescence and, in CheckSessions, the client-session
+// guarantees. chaos.Run drives it: a run traced with Options.TraceLimit is
+// checked shard by shard.
 package conform
 
 import (
@@ -41,6 +46,7 @@ import (
 	"reflect"
 	"strings"
 
+	"hamband/internal/rdmawrdt"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -80,7 +86,7 @@ type Options struct {
 	Correct []bool
 	// RequireIssued treats an apply of a call identity with no Issue event
 	// in this history as a violation. Sound only for complete traces (a
-	// flight-recorder window legitimately starts mid-history); Run sets it
+	// flight-recorder window legitimately starts mid-history); chaos.Run sets it
 	// because a call applied in one shard but issued in another is exactly
 	// the cross-wiring bug its per-shard check exists to catch.
 	RequireIssued bool
@@ -111,19 +117,10 @@ func (r *Report) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// slotState mirrors one summary slot of the replayed replica: the folded
-// summary call, the per-method applied counts and the seqlock version.
-type slotState struct {
-	version uint32
-	sum     spec.Call
-	counts  []uint32
-}
-
-// nodeState is the abstract-semantics reconstruction of one replica.
+// nodeState is what the replay of one replica tracks beside its component
+// of the configuration: the evidence for the checks Fig. 7 does not state.
 type nodeState struct {
-	sigma    spec.State
-	applied  spec.AppliedMap
-	slots    [][]*slotState // [sumGroup][src]
+	versions [][]uint32     // slot seqlock versions: [sumGroup][src]
 	seen     map[string]int // applies per call identity (at-most-once)
 	applySeq [][]string     // [syncGroup] -> call identities in apply order
 }
@@ -133,6 +130,7 @@ type checker struct {
 	cls   *spec.Class
 	opts  Options
 	rep   *Report
+	k     *rdmawrdt.Config // replayed ⟨σ, A, S⟩ of every replica
 	nodes []*nodeState
 
 	issued  map[string]spec.Call // identity -> the issued call
@@ -156,26 +154,18 @@ func Check(an *spec.Analysis, events []trace.Event, opts Options) *Report {
 	c := &checker{
 		an: an, cls: an.Class, opts: opts,
 		rep:     &Report{Events: len(events)},
+		k:       rdmawrdt.New(an, nodes),
 		issued:  make(map[string]spec.Call),
 		ordered: make(map[string]bool),
 		acked:   make(map[string]bool),
 	}
 	for n := 0; n < nodes; n++ {
 		ns := &nodeState{
-			sigma:    c.cls.NewState(),
-			applied:  spec.NewAppliedMap(nodes, len(c.cls.Methods)),
 			seen:     make(map[string]int),
 			applySeq: make([][]string, len(an.SyncGroups)),
 		}
-		for g := range c.cls.SumGroups {
-			row := make([]*slotState, nodes)
-			for p := range row {
-				row[p] = &slotState{
-					sum:    c.cls.SumGroups[g].Identity(),
-					counts: make([]uint32, len(c.cls.SumGroups[g].Methods)),
-				}
-			}
-			ns.slots = append(ns.slots, row)
+		for range c.cls.SumGroups {
+			ns.versions = append(ns.versions, make([]uint32, nodes))
 		}
 		c.nodes = append(c.nodes, ns)
 	}
@@ -196,29 +186,8 @@ func (c *checker) violate(check string, e trace.Event, detail string) {
 	})
 }
 
-// queryState returns the replayed Apply(S)(σ) of node n: the stored state
-// with every summary slot's call applied, matching core's queryState. The
-// result is a fresh clone when summarization groups exist, σ itself
-// otherwise (callers must not mutate it in that case).
-func (c *checker) queryState(n int) spec.State {
-	ns := c.nodes[n]
-	if len(ns.slots) == 0 {
-		return ns.sigma
-	}
-	st := ns.sigma.Clone()
-	for _, row := range ns.slots {
-		for _, s := range row {
-			c.cls.ApplyCall(st, s.sum)
-		}
-	}
-	return st
-}
-
 func (c *checker) checkPermissible(e trace.Event, call spec.Call, context string) {
-	if c.cls.TrivialInvariant {
-		return
-	}
-	if !c.cls.Permissible(c.queryState(e.Node), call) {
+	if !c.k.Permissible(spec.ProcID(e.Node), call) {
 		c.violate("permissibility", e, fmt.Sprintf("%s not permissible against p%d's replayed pre-state (%s)",
 			call.Format(c.cls), e.Node, context))
 	}
@@ -275,7 +244,7 @@ func (c *checker) step(e trace.Event) {
 			return
 		}
 		c.rep.Queries++
-		got := c.cls.Methods[rec.Method].Eval(c.queryState(e.Node), rec.Args)
+		got := c.k.Query(spec.ProcID(e.Node), rec.Method, rec.Args)
 		if !reflect.DeepEqual(got, rec.Result) {
 			c.violate("query", e, fmt.Sprintf("%s(%s) answered %v at p%d but the replayed state says %v",
 				c.cls.Methods[rec.Method].Name, rec.Args, rec.Result, e.Node, got))
@@ -288,11 +257,13 @@ func (c *checker) step(e trace.Event) {
 	}
 }
 
-// stepApply replays one per-call apply (a FreeSend at the origin or a
-// buffered Apply anywhere): at-most-once, dependency-preservation and
-// permissibility, then the state transition.
+// stepApply replays one per-call apply (a FreeSend at the origin — the
+// local half of FREE or CONF — or a buffered Apply anywhere, FREE-APP or
+// CONF-APP): identity, at-most-once, D ≤ A and permissibility, then the
+// state transition.
 func (c *checker) stepApply(e trace.Event, rec trace.CallRecord, context string) {
 	ns := c.nodes[e.Node]
+	p := spec.ProcID(e.Node)
 	// Provenance: the applied record must be the call that was issued under
 	// this identity. A mismatch means the apply loop is consuming somebody
 	// else's calls (e.g. two shards' deliveries cross-wired); tags make
@@ -311,93 +282,88 @@ func (c *checker) stepApply(e trace.Event, rec trace.CallRecord, context string)
 		c.violate("exactly-once", e, fmt.Sprintf("call %s applied %d times at p%d",
 			rec.C.Format(c.cls), n, e.Node))
 	}
-	deps := c.an.DependsOn[rec.C.Method]
-	if len(deps) > 0 && !ns.applied.Satisfies(rec.D, deps) {
+	if !c.k.Ready(p, rdmawrdt.Entry{C: rec.C, D: rec.D}) {
 		c.violate("dependency", e, fmt.Sprintf("%s applied at p%d before its recorded dependencies (d=%v)",
 			rec.C.Format(c.cls), e.Node, rec.D))
 	}
 	c.checkPermissible(e, rec.C, context)
-	c.cls.ApplyCall(ns.sigma, rec.C)
-	ns.applied.Inc(rec.C.Proc, rec.C.Method)
+	c.k.Apply(p, rec.C)
 	if g := c.an.SyncGroupOf[rec.C.Method]; g != spec.NoGroup {
 		ns.applySeq[g] = append(ns.applySeq[g], e.Call)
 	}
 }
 
-// stepReduce replays a reducible call folding into the origin's own summary
-// slot: permissibility against the pre-state, version monotonicity, and
-// summarization correctness (post-state = pre-state + call).
+// stepReduce replays REDUCE at the origin: a reducible call folding into
+// the origin's own summary slot. Checks permissibility against the
+// pre-state, version monotonicity, and summarization correctness
+// (post-state = pre-state + call).
 func (c *checker) stepReduce(e trace.Event) {
 	rec, ok := e.Data.(trace.SlotRecord)
 	if !ok || rec.C == nil {
 		c.violate("trace", e, "reduce event without a slot record")
 		return
 	}
-	ns := c.nodes[e.Node]
-	if rec.Group < 0 || rec.Group >= len(ns.slots) || int(rec.Src) >= len(ns.slots[rec.Group]) {
+	if !c.hasSlot(rec) {
 		c.violate("trace", e, fmt.Sprintf("reduce names slot g%d/p%d which the class does not have", rec.Group, rec.Src))
 		return
 	}
-	want := c.queryState(e.Node) // fresh clone: reducible methods imply sum groups
+	p := spec.ProcID(e.Node)
+	want := c.k.After(p, *rec.C)
 	c.checkPermissible(e, *rec.C, "reduce")
-	c.cls.ApplyCall(want, *rec.C)
-
-	slot := ns.slots[rec.Group][rec.Src]
-	if rec.Version <= slot.version {
+	if v := c.nodes[e.Node].versions[rec.Group][rec.Src]; rec.Version <= v {
 		c.violate("trace", e, fmt.Sprintf("slot g%d/p%d version regressed: v%d after v%d",
-			rec.Group, rec.Src, rec.Version, slot.version))
+			rec.Group, rec.Src, rec.Version, v))
 	}
-	c.installSlot(e, rec)
+	c.install(e, rec)
 
-	if got := c.queryState(e.Node); !got.Equal(want) {
+	if got := c.k.CurrentState(p); !got.Equal(want) {
 		c.violate("summarization", e, fmt.Sprintf("summary slot g%d/p%d v%d does not stand for its calls: post-state differs from pre-state + %s",
 			rec.Group, rec.Src, rec.Version, rec.C.Format(c.cls)))
 	}
+	ns := c.nodes[e.Node]
 	ns.seen[e.Call]++
 	if n := ns.seen[e.Call]; n > 1 {
 		c.violate("exactly-once", e, fmt.Sprintf("call %s reduced %d times at p%d", rec.C.Format(c.cls), n, e.Node))
 	}
 }
 
-// stepAdopt replays a remotely written summary slot being adopted: version
-// monotonicity, then the slot swap, then integrity of the post-state (by
-// Lemma 1 the per-call permissibility of summarized calls is equivalent to
-// invariant preservation on reachable states).
+// stepAdopt replays a remotely written summary slot being adopted — REDUCE's
+// install at a non-origin replica: version monotonicity, then the slot
+// swap, then integrity of the post-state (by Lemma 1 the per-call
+// permissibility of summarized calls is equivalent to invariant
+// preservation on reachable states).
 func (c *checker) stepAdopt(e trace.Event) {
 	rec, ok := e.Data.(trace.SlotRecord)
 	if !ok {
 		c.violate("trace", e, "adopt event without a slot record")
 		return
 	}
-	ns := c.nodes[e.Node]
-	if rec.Group < 0 || rec.Group >= len(ns.slots) || int(rec.Src) >= len(ns.slots[rec.Group]) {
+	if !c.hasSlot(rec) {
 		c.violate("trace", e, fmt.Sprintf("adopt names slot g%d/p%d which the class does not have", rec.Group, rec.Src))
 		return
 	}
-	if slot := ns.slots[rec.Group][rec.Src]; rec.Version <= slot.version {
+	if v := c.nodes[e.Node].versions[rec.Group][rec.Src]; rec.Version <= v {
 		c.violate("trace", e, fmt.Sprintf("slot g%d/p%d version regressed on adopt: v%d after v%d",
-			rec.Group, rec.Src, rec.Version, slot.version))
+			rec.Group, rec.Src, rec.Version, v))
 	}
-	c.installSlot(e, rec)
-	if !c.cls.TrivialInvariant && !c.cls.Invariant(c.queryState(e.Node)) {
+	c.install(e, rec)
+	if !c.cls.TrivialInvariant && !c.cls.Invariant(c.k.CurrentState(spec.ProcID(e.Node))) {
 		c.violate("permissibility", e, fmt.Sprintf("invariant violated at p%d after adopting slot g%d/p%d v%d",
 			e.Node, rec.Group, rec.Src, rec.Version))
 	}
 }
 
-// installSlot swaps the recorded slot contents in and advances the applied
-// counts (counts only ever grow; stale reads never regress them).
-func (c *checker) installSlot(e trace.Event, rec trace.SlotRecord) {
-	ns := c.nodes[e.Node]
-	slot := ns.slots[rec.Group][rec.Src]
-	slot.version = rec.Version
-	slot.sum = rec.Sum
-	slot.counts = rec.Counts
-	for i, u := range c.cls.SumGroups[rec.Group].Methods {
-		if i < len(rec.Counts) && rec.Counts[i] > ns.applied.Get(rec.Src, u) {
-			ns.applied.Set(rec.Src, u, rec.Counts[i])
-		}
-	}
+// hasSlot reports whether the class has the summary slot rec names.
+func (c *checker) hasSlot(rec trace.SlotRecord) bool {
+	return rec.Group >= 0 && rec.Group < len(c.cls.SumGroups) && int(rec.Src) < c.k.NumProcs()
+}
+
+// install records the slot's version and installs its contents in the
+// configuration (rdmawrdt.Config.Install: applied counts only ever grow,
+// so stale reads never regress them).
+func (c *checker) install(e trace.Event, rec trace.SlotRecord) {
+	c.nodes[e.Node].versions[rec.Group][rec.Src] = rec.Version
+	c.k.Install(spec.ProcID(e.Node), rec.Group, rec.Src, rec.Sum, rec.Counts)
 }
 
 // correct reports whether node n takes part in the end-of-history checks.
@@ -461,13 +427,13 @@ func (c *checker) finish() {
 				continue
 			}
 			for _, u := range c.cls.UpdateMethods() {
-				got := c.nodes[n].applied.Get(spec.ProcID(o), u)
+				got := c.k.Procs[n].A.Get(spec.ProcID(o), u)
 				if want := ackedCount[o][u]; got < want {
 					c.violate("exactly-once", end, fmt.Sprintf(
 						"p%d applied %d of %d acked %s calls from p%d at quiescence",
 						n, got, want, c.cls.Methods[u].Name, o))
 				}
-				if origin := c.nodes[o].applied.Get(spec.ProcID(o), u); got > origin {
+				if origin := c.k.Procs[o].A.Get(spec.ProcID(o), u); got > origin {
 					c.violate("exactly-once", end, fmt.Sprintf(
 						"p%d applied %d %s calls from p%d but the origin itself applied only %d",
 						n, got, c.cls.Methods[u].Name, o, origin))
@@ -484,7 +450,7 @@ func (c *checker) finish() {
 		if !c.correct(n) {
 			continue
 		}
-		st := c.queryState(n)
+		st := c.k.CurrentState(spec.ProcID(n))
 		if refState == nil {
 			ref, refState = n, st
 			continue

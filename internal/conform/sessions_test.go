@@ -1,10 +1,11 @@
-package conform
+package conform_test
 
 import (
 	"strings"
 	"testing"
 
 	"hamband/internal/chaos"
+	"hamband/internal/conform"
 	"hamband/internal/sim"
 	"hamband/internal/trace"
 )
@@ -25,7 +26,7 @@ func TestSessionCheckerUnit(t *testing.T) {
 		sessEvent(4, trace.SessionRecord{S: 0, Op: "read", Node: 1, View: []uint64{1, 3}}),
 		sessEvent(5, trace.SessionRecord{S: 0, Op: "write", Node: 1, Watermark: 4, View: []uint64{1, 4}}),
 	}
-	if vs := CheckSessions(ok); len(vs) != 0 {
+	if vs := conform.CheckSessions(ok); len(vs) != 0 {
 		t.Fatalf("conforming session flagged: %v", vs)
 	}
 
@@ -47,7 +48,7 @@ func TestSessionCheckerUnit(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		vs := CheckSessions(c.evs)
+		vs := conform.CheckSessions(c.evs)
 		if len(vs) == 0 {
 			t.Fatalf("%s violation not detected", c.check)
 		}
@@ -75,16 +76,13 @@ func TestSessionsConformAcrossReconfig(t *testing.T) {
 			{At: sim.Time(900 * sim.Microsecond), Kind: chaos.KindJoin, Node: 3},
 		},
 	}
-	res, err := Run(p, chaos.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Conforms() {
-		t.Fatalf("reconfig session run does not conform:\n%s", res)
+	v := traced(t, p, chaos.Options{})
+	if !v.Conforms() {
+		t.Fatalf("reconfig session run does not conform:\n%s", chaos.FormatReports(v))
 	}
 	epochs := make(map[uint32]bool)
 	reads := 0
-	for _, evs := range SessionEvents(res.Verdict.Trace.Events()) {
+	for _, evs := range conform.SessionEvents(v.Trace.Events()) {
 		for _, e := range evs {
 			rec := e.Data.(trace.SessionRecord)
 			epochs[rec.Epoch] = true
@@ -114,31 +112,28 @@ func TestStaleReadMutationCaught(t *testing.T) {
 			{At: sim.Time(900 * sim.Microsecond), Kind: chaos.KindJoin, Node: 3},
 		},
 	}
-	res, err := Run(p, chaos.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Conforms() {
+	v := traced(t, p, chaos.Options{})
+	if v.Conforms() {
 		t.Fatal("stale-read mutation not caught — the session checker is blind")
 	}
 	sessionViolation := false
-	for _, v := range res.Violations() {
-		if strings.HasPrefix(v.Check, "session-") {
+	for check := range violationKinds(v) {
+		if strings.HasPrefix(check, "session-") {
 			sessionViolation = true
 		}
 	}
 	if !sessionViolation {
-		t.Fatalf("mutation flagged, but not by a session check:\n%s", res)
+		t.Fatalf("mutation flagged, but not by a session check:\n%s", chaos.FormatReports(v))
 	}
 
 	// Shrink the violating session's history to a minimal counterexample.
 	shrunk := 0
-	for _, evs := range SessionEvents(res.Verdict.Trace.Events()) {
-		if len(checkSession(evs)) == 0 {
+	for _, evs := range conform.SessionEvents(v.Trace.Events()) {
+		if len(conform.CheckSessions(evs)) == 0 {
 			continue
 		}
-		min := ShrinkSession(evs)
-		if len(min) == 0 || len(checkSession(min)) == 0 {
+		min := conform.ShrinkSession(evs)
+		if len(min) == 0 || len(conform.CheckSessions(min)) == 0 {
 			t.Fatal("shrunk session no longer violates")
 		}
 		if len(min) > 6 {

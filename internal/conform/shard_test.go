@@ -1,4 +1,4 @@
-package conform
+package conform_test
 
 import (
 	"testing"
@@ -13,18 +13,14 @@ func TestShardedConformance(t *testing.T) {
 	for _, class := range []string{"counter", "orset", "account"} {
 		class := class
 		t.Run(class, func(t *testing.T) {
-			res, err := Run(chaos.GenerateSharded(class, 4, 120, 51, 4), chaos.Options{})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
+			v := traced(t, chaos.GenerateSharded(class, 4, 120, 51, 4), chaos.Options{})
+			if len(v.Reports) != 4 {
+				t.Fatalf("checked %d shards, want 4:\n%s", len(v.Reports), chaos.FormatReports(v))
 			}
-			if len(res.Reports) != 4 {
-				t.Fatalf("checked %d shards, want 4: %v", len(res.Reports), res.Keys())
+			if !v.Conforms() {
+				t.Fatalf("sharded history does not conform:\n%s", chaos.FormatReports(v))
 			}
-			if !res.Conforms() {
-				t.Fatalf("sharded history does not conform:\n%s", res)
-			}
-			for _, key := range res.Keys() {
-				rep := res.Reports[key]
+			for key, rep := range v.Reports {
 				if rep.Calls == 0 {
 					t.Errorf("shard %s saw no calls — the split starved it", key)
 				}
@@ -47,33 +43,18 @@ func TestCrossWireMutationCaught(t *testing.T) {
 		ShardMix:        2,
 		CrossWireShards: true,
 	}
-	res, err := Run(plan, chaos.Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Conforms() {
+	v := traced(t, plan, chaos.Options{})
+	if v.Conforms() {
 		t.Fatal("cross-wired apply loops conformed — the per-shard checker is blind to shard leakage")
 	}
-	caught := false
-	for _, key := range res.Keys() {
-		for _, v := range res.Reports[key].Violations {
-			if v.Check == "identity" {
-				caught = true
-			}
-		}
-	}
-	if !caught {
-		t.Fatalf("no identity violation; leakage was flagged for the wrong reason:\n%s", res)
+	if !violationKinds(v)["identity"] {
+		t.Fatalf("no identity violation; leakage was flagged for the wrong reason:\n%s", chaos.FormatReports(v))
 	}
 
 	// The identical plan without the mutation conforms: the violations
 	// above are caused by the cross-wiring, not by sharding itself.
 	plan.CrossWireShards = false
-	clean, err := Run(plan, chaos.Options{})
-	if err != nil {
-		t.Fatalf("Run (control): %v", err)
-	}
-	if !clean.Conforms() {
-		t.Fatalf("un-mutated control does not conform:\n%s", clean)
+	if clean := traced(t, plan, chaos.Options{}); !clean.Conforms() {
+		t.Fatalf("un-mutated control does not conform:\n%s", chaos.FormatReports(clean))
 	}
 }

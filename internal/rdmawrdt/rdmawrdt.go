@@ -99,6 +99,50 @@ func (k *Config) applySummaries(p spec.ProcID, st spec.State) {
 	}
 }
 
+// After returns Apply(S_p)(σ_p) with c applied, as a fresh state: what
+// process p's queries would observe once c took effect there.
+func (k *Config) After(p spec.ProcID, c spec.Call) spec.State {
+	st := k.CurrentState(p)
+	k.Class.ApplyCall(st, c)
+	return st
+}
+
+// Permissible reports local permissibility of c at process p: the
+// invariant holds on After(p, c). REDUCE, FREE and CONF fire only when it
+// holds.
+func (k *Config) Permissible(p spec.ProcID, c spec.Call) bool {
+	return k.Class.TrivialInvariant || k.Class.Invariant(k.After(p, c))
+}
+
+// Ready reports whether process p may apply the buffered entry e: its
+// dependency record is covered by p's applied calls (D ≤ A), the side
+// condition of FREE-APP and CONF-APP.
+func (k *Config) Ready(p spec.ProcID, e Entry) bool {
+	return k.Procs[p].A.Satisfies(e.D, k.An.DependsOn[e.C.Method])
+}
+
+// Apply applies the update call c to process p's stored state and counts
+// it in p's applied calls under its origin c.Proc.
+func (k *Config) Apply(p spec.ProcID, c spec.Call) {
+	pp := k.Procs[p]
+	k.Class.ApplyCall(pp.Sigma, c)
+	pp.A.Inc(c.Proc, c.Method)
+}
+
+// Install stores sum as process p's summary slot S_p[g][src] and raises
+// p's applied counts of src's calls to counts, one per method of
+// summarization group g in group order. Counts only grow: installing a
+// stale slot never lowers A.
+func (k *Config) Install(p spec.ProcID, g int, src spec.ProcID, sum spec.Call, counts []uint32) {
+	pp := k.Procs[p]
+	pp.S[g][src] = sum
+	for i, u := range k.Class.SumGroups[g].Methods {
+		if i < len(counts) && counts[i] > pp.A.Get(src, u) {
+			pp.A.Set(src, u, counts[i])
+		}
+	}
+}
+
 // Reduce fires rule REDUCE: process c.Proc issues the reducible call c.
 // The new summary and the advanced applied count are installed at every
 // process in one atomic transition (the runtime realizes this with a pair
@@ -108,19 +152,22 @@ func (k *Config) Reduce(c spec.Call) error {
 	if k.An.Category[u] != spec.CatReducible {
 		return fmt.Errorf("rdmawrdt: REDUCE on non-reducible method %s", k.Class.Methods[u].Name)
 	}
-	j := c.Proc
-	g := k.An.SumGroupOf[u]
-	// Local permissibility on the current (summary-applied) state.
-	cur := k.CurrentState(j)
-	k.Class.ApplyCall(cur, c)
-	if !k.Class.Invariant(cur) {
+	if !k.Permissible(c.Proc, c) {
 		return fmt.Errorf("rdmawrdt: REDUCE %s not locally permissible", c.Format(k.Class))
 	}
+	j := c.Proc
+	g := k.An.SumGroupOf[u]
 	sum := k.Class.SumGroups[g].Summarize(k.Procs[j].S[g][j], c)
-	n := k.Procs[j].A.Get(j, u) + 1
+	methods := k.Class.SumGroups[g].Methods
+	counts := make([]uint32, len(methods))
+	for i, m := range methods {
+		counts[i] = k.Procs[j].A.Get(j, m)
+		if m == u {
+			counts[i]++
+		}
+	}
 	for i := range k.Procs {
-		k.Procs[i].S[g][j] = sum
-		k.Procs[i].A.Set(j, u, n)
+		k.Install(spec.ProcID(i), g, j, sum, counts)
 	}
 	return nil
 }
@@ -129,30 +176,10 @@ func (k *Config) Reduce(c spec.Call) error {
 // call c, applies it locally, and appends it with its dependency record to
 // the conflict-free buffers every other process keeps for c.Proc.
 func (k *Config) Free(c spec.Call) error {
-	u := c.Method
-	if k.An.Category[u] != spec.CatIrreducibleFree {
-		return fmt.Errorf("rdmawrdt: FREE on method %s of category %v",
-			k.Class.Methods[u].Name, k.An.Category[u])
+	if cat := k.An.Category[c.Method]; cat != spec.CatIrreducibleFree {
+		return fmt.Errorf("rdmawrdt: FREE on method %s of category %v", k.Class.Methods[c.Method].Name, cat)
 	}
-	j := c.Proc
-	pj := k.Procs[j]
-	post := pj.Sigma.Clone()
-	k.Class.ApplyCall(post, c)
-	withSums := post.Clone()
-	k.applySummaries(j, withSums)
-	if !k.Class.Invariant(withSums) {
-		return fmt.Errorf("rdmawrdt: FREE %s not locally permissible", c.Format(k.Class))
-	}
-	d := pj.A.Project(k.An.DependsOn[u])
-	pj.Sigma = post
-	pj.A.Inc(j, u)
-	for i := range k.Procs {
-		if spec.ProcID(i) == j {
-			continue
-		}
-		k.Procs[i].F[j] = append(k.Procs[i].F[j], Entry{C: c, D: d.Clone()})
-	}
-	return nil
+	return k.issue("FREE", c, func(p *Proc) *[]Entry { return &p.F[c.Proc] })
 }
 
 // Conf fires rule CONF: the leader of c's synchronization group issues the
@@ -169,23 +196,24 @@ func (k *Config) Conf(c spec.Call) error {
 		return fmt.Errorf("rdmawrdt: CONF %s at p%d, but leader of group %d is p%d",
 			c.Format(k.Class), c.Proc, g, k.Leaders[g])
 	}
+	return k.issue("CONF", c, func(p *Proc) *[]Entry { return &p.L[g] })
+}
+
+// issue is the body FREE and CONF share: if c is locally permissible at
+// its origin, apply it there and append it with its dependency record
+// D = A|Dep(u) to buffer(p) at every other process p.
+func (k *Config) issue(rule string, c spec.Call, buffer func(*Proc) *[]Entry) error {
 	j := c.Proc
-	pj := k.Procs[j]
-	post := pj.Sigma.Clone()
-	k.Class.ApplyCall(post, c)
-	withSums := post.Clone()
-	k.applySummaries(j, withSums)
-	if !k.Class.Invariant(withSums) {
-		return fmt.Errorf("rdmawrdt: CONF %s not locally permissible", c.Format(k.Class))
+	if !k.Permissible(j, c) {
+		return fmt.Errorf("rdmawrdt: %s %s not locally permissible", rule, c.Format(k.Class))
 	}
-	d := pj.A.Project(k.An.DependsOn[u])
-	pj.Sigma = post
-	pj.A.Inc(j, u)
-	for i := range k.Procs {
-		if spec.ProcID(i) == j {
-			continue
+	d := k.Procs[j].A.Project(k.An.DependsOn[c.Method])
+	k.Apply(j, c)
+	for i, p := range k.Procs {
+		if spec.ProcID(i) != j {
+			b := buffer(p)
+			*b = append(*b, Entry{C: c, D: d.Clone()})
 		}
-		k.Procs[i].L[g] = append(k.Procs[i].L[g], Entry{C: c, D: d.Clone()})
 	}
 	return nil
 }
@@ -208,35 +236,29 @@ func (k *Config) Issue(c spec.Call) error {
 // conflict-free buffer for process from, provided the call's dependencies
 // are satisfied (D ≤ A).
 func (k *Config) FreeApp(p, from spec.ProcID) error {
-	pp := k.Procs[p]
-	if len(pp.F[from]) == 0 {
-		return fmt.Errorf("rdmawrdt: FREE-APP at p%d: buffer for p%d empty", p, from)
-	}
-	e := pp.F[from][0]
-	if !pp.A.Satisfies(e.D, k.An.DependsOn[e.C.Method]) {
-		return fmt.Errorf("rdmawrdt: FREE-APP %s at p%d: dependencies unsatisfied", e.C.Format(k.Class), p)
-	}
-	k.Class.ApplyCall(pp.Sigma, e.C)
-	pp.A.Inc(e.C.Proc, e.C.Method)
-	pp.F[from] = pp.F[from][1:]
-	return nil
+	return k.applyHead("FREE-APP", p, &k.Procs[p].F[from], "buffer for p%d", int(from))
 }
 
 // ConfApp fires rule CONF-APP: process p applies the head of its
 // conflicting buffer for synchronization group g, provided the call's
 // dependencies are satisfied.
 func (k *Config) ConfApp(p spec.ProcID, g int) error {
-	pp := k.Procs[p]
-	if len(pp.L[g]) == 0 {
-		return fmt.Errorf("rdmawrdt: CONF-APP at p%d: group %d buffer empty", p, g)
+	return k.applyHead("CONF-APP", p, &k.Procs[p].L[g], "group %d buffer", g)
+}
+
+// applyHead is the body FREE-APP and CONF-APP share: pop and apply the
+// head of buf at process p once it is Ready. bufName formats the buffer's
+// name from bufArg for the empty-buffer error.
+func (k *Config) applyHead(rule string, p spec.ProcID, buf *[]Entry, bufName string, bufArg int) error {
+	if len(*buf) == 0 {
+		return fmt.Errorf("rdmawrdt: %s at p%d: "+bufName+" empty", rule, p, bufArg)
 	}
-	e := pp.L[g][0]
-	if !pp.A.Satisfies(e.D, k.An.DependsOn[e.C.Method]) {
-		return fmt.Errorf("rdmawrdt: CONF-APP %s at p%d: dependencies unsatisfied", e.C.Format(k.Class), p)
+	e := (*buf)[0]
+	if !k.Ready(p, e) {
+		return fmt.Errorf("rdmawrdt: %s %s at p%d: dependencies unsatisfied", rule, e.C.Format(k.Class), p)
 	}
-	k.Class.ApplyCall(pp.Sigma, e.C)
-	pp.A.Inc(e.C.Proc, e.C.Method)
-	pp.L[g] = pp.L[g][1:]
+	k.Apply(p, e.C)
+	*buf = (*buf)[1:]
 	return nil
 }
 

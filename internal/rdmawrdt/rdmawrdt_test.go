@@ -47,6 +47,25 @@ func TestReduceInstallsSummaryEverywhere(t *testing.T) {
 	}
 }
 
+// TestInstallNeverLowersApplied installs a stale summary slot — an older
+// sum with older counts, as a delayed remote read would — after a fresher
+// one: the slot takes the stale contents, but A keeps the higher count.
+func TestInstallNeverLowersApplied(t *testing.T) {
+	k := accountConfig(2)
+	k.Install(1, 0, 0, dep(8, 0, 2), []uint32{2})
+	k.Install(1, 0, 0, dep(5, 0, 1), []uint32{1})
+	if got := k.Procs[1].A.Get(0, crdt.AccountDeposit); got != 2 {
+		t.Fatalf("applied(p0, deposit) at p1 = %d after a stale install, want 2", got)
+	}
+	if got := k.Procs[1].S[0][0].Args.I[0]; got != 5 {
+		t.Fatalf("slot S[0][p0] at p1 holds deposit(%d), want the installed deposit(5)", got)
+	}
+	// Nothing reached p0: Install acts on one process only.
+	if got := k.Procs[0].A.Get(0, crdt.AccountDeposit); got != 0 {
+		t.Fatalf("applied(p0, deposit) at p0 = %d, want 0", got)
+	}
+}
+
 func TestReduceChecksPermissibility(t *testing.T) {
 	cls := crdt.NewAccount()
 	// Make deposit amounts negative to force impermissibility.
