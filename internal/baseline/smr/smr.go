@@ -197,7 +197,7 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 	if r.sigmaSpec == nil {
 		r.sigmaSpec = r.sigma.Clone()
 	}
-	if !r.cls.TrivialInvariant && !r.cls.Permissible(r.sigmaSpec, c) {
+	if !r.cls.InvariantSufficient(c) && !r.cls.Permissible(r.sigmaSpec, c) {
 		out := append([]byte(nil), payload...)
 		out[0] = flagRejected
 		return out

@@ -249,6 +249,58 @@ func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	return b, nil
 }
 
+// Frame errors of PeekDeltaRecord, built once: a δ-log scan meets them on
+// every pass over the stale bytes beyond a wrapped log's last record, so
+// they must not allocate.
+var (
+	errDeltaLength  = fmt.Errorf("%w: bad delta record length", ErrCorrupt)
+	errDeltaKind    = fmt.Errorf("%w: unknown delta kind", ErrCorrupt)
+	errDeltaVersion = fmt.Errorf("%w: delta version overflows u32", ErrCorrupt)
+)
+
+// PeekDeltaRecord validates the frame of the delta record at the front of b
+// — length, canary, CRC, kind and version — and returns its kind, version
+// and total length without decoding the body (counts and call). A reader
+// walking a δ-log uses it to skip records it already folded at the cost of
+// one CRC and no allocation. It fails exactly where DecodeDeltaRecord's
+// frame checks do, with the same error classes; only structural garbage in
+// the body of a CRC-intact record passes here and fails the full decode.
+func PeekDeltaRecord(b []byte) (kind byte, version uint32, n int, err error) {
+	if len(b) < 4 {
+		return 0, 0, 0, ErrIncomplete
+	}
+	total := int(binary.LittleEndian.Uint32(b))
+	if total == 0 {
+		return 0, 0, 0, ErrIncomplete
+	}
+	if total < minDelta || total > MaxRecord {
+		return 0, 0, 0, errDeltaLength
+	}
+	if len(b) < total {
+		return 0, 0, 0, ErrTruncated
+	}
+	if b[total-1] != Canary {
+		return 0, 0, 0, ErrTruncated // write in flight
+	}
+	if binary.LittleEndian.Uint32(b[total-RecordTrailer:]) != Checksum(b[:total-RecordTrailer]) {
+		return 0, 0, 0, ErrTorn
+	}
+	kind = b[4]
+	switch kind {
+	case FrameFull, FrameDelta, FrameAnchor:
+	default:
+		return 0, 0, 0, errDeltaKind
+	}
+	ver, _, err := Uvarint(b[5 : total-RecordTrailer])
+	if err != nil {
+		return 0, 0, 0, asCorrupt(err)
+	}
+	if ver > uint64(^uint32(0)) {
+		return 0, 0, 0, errDeltaVersion
+	}
+	return kind, uint32(ver), total, nil
+}
+
 // DecodeDeltaRecord parses a delta record from the front of b, returning
 // the record and the total length consumed. Error classes mirror the entry
 // decoder, with the truncation distinction the ring readers need:
@@ -261,40 +313,13 @@ func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 //     (bad kind, overlong varint, counts past the end).
 func DecodeDeltaRecord(b []byte) (DeltaRecord, int, error) {
 	var zero DeltaRecord
-	if len(b) < 4 {
-		return zero, 0, ErrIncomplete
-	}
-	total := int(binary.LittleEndian.Uint32(b))
-	if total == 0 {
-		return zero, 0, ErrIncomplete
-	}
-	if total < minDelta || total > MaxRecord {
-		return zero, 0, fmt.Errorf("%w: bad length %d", ErrCorrupt, total)
-	}
-	if len(b) < total {
-		return zero, 0, ErrTruncated
-	}
-	if b[total-1] != Canary {
-		return zero, 0, ErrTruncated // write in flight
-	}
-	if binary.LittleEndian.Uint32(b[total-RecordTrailer:]) != Checksum(b[:total-RecordTrailer]) {
-		return zero, 0, ErrTorn
-	}
-	body := b[5 : total-RecordTrailer]
-	r := DeltaRecord{Kind: b[4]}
-	switch r.Kind {
-	case FrameFull, FrameDelta, FrameAnchor:
-	default:
-		return zero, 0, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
-	}
-	ver, p, err := Uvarint(body)
+	kind, ver, total, err := PeekDeltaRecord(b)
 	if err != nil {
-		return zero, 0, asCorrupt(err)
+		return zero, 0, err
 	}
-	if ver > uint64(^uint32(0)) {
-		return zero, 0, fmt.Errorf("%w: version overflows u32", ErrCorrupt)
-	}
-	r.Version = uint32(ver)
+	r := DeltaRecord{Kind: kind, Version: ver}
+	body := b[5 : total-RecordTrailer]
+	_, p, _ := Uvarint(body) // the version PeekDeltaRecord validated
 	counts, n, err := decodeU32Packed(body[p:])
 	if err != nil {
 		return zero, 0, asCorrupt(err)

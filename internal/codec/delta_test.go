@@ -217,7 +217,10 @@ func TestDeltaRecordTornAndCorrupt(t *testing.T) {
 
 // FuzzDeltaEntry asserts the delta-record decoder never panics, never
 // over-reads, and classifies every failure as one of the declared error
-// values on arbitrary remote bytes.
+// values on arbitrary remote bytes; and that the header-only check a δ-log
+// scan skips folded records with agrees with it: the same kind, version and
+// length whenever the full decode succeeds, the same error whenever the
+// frame is what fails, and only body garbage (ErrCorrupt) in between.
 func FuzzDeltaEntry(f *testing.F) {
 	good, _ := EncodeDeltaRecord(sampleDelta())
 	f.Add(good)
@@ -231,14 +234,35 @@ func FuzzDeltaEntry(f *testing.F) {
 	anchor, _ := EncodeDeltaRecord(DeltaRecord{Kind: FrameAnchor, Version: 1,
 		C: spec.Call{Method: 1}, Counts: []uint32{1}})
 	f.Add(anchor)
+	// A CRC-intact frame around a body that overruns itself: the header
+	// check passes, the full decode must not.
+	garbage := append([]byte(nil), good...)
+	garbage[6] = 0x7f // counts vector claims 127 entries
+	f.Add(reframe(garbage))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, ver, hn, herr := PeekDeltaRecord(data)
 		r, n, err := DecodeDeltaRecord(data)
 		if err != nil {
 			if !errors.Is(err, ErrIncomplete) && !errors.Is(err, ErrCorrupt) &&
 				!errors.Is(err, ErrTorn) && !errors.Is(err, ErrTooLarge) {
 				t.Fatalf("unclassified error %v", err)
 			}
+			if herr == nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("header check accepted a frame the decoder rejects as %v", err)
+			}
+			for _, class := range []error{ErrIncomplete, ErrTruncated, ErrTorn, ErrCorrupt} {
+				if herr != nil && errors.Is(herr, class) != errors.Is(err, class) {
+					t.Fatalf("header check fails as %v, full decode as %v", herr, err)
+				}
+			}
 			return
+		}
+		if herr != nil {
+			t.Fatalf("header check rejects a record the decoder accepts: %v", herr)
+		}
+		if kind != r.Kind || ver != r.Version || hn != n {
+			t.Fatalf("header check = (0x%02x, v%d, %d bytes), decode = (0x%02x, v%d, %d bytes)",
+				kind, ver, hn, r.Kind, r.Version, n)
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))

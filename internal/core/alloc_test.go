@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hamband/internal/crdt"
+	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -58,4 +59,39 @@ func TestTracerCostVanishesWhenDisabled(t *testing.T) {
 		t.Errorf("tracer-attached invoke allocates %.1f/op, detached %.1f/op; want attached > detached", on, off)
 	}
 	t.Logf("allocs per invoke cycle: detached %.1f, attached %.1f", off, on)
+}
+
+// TestFoldedDeltaScanZeroAlloc pins the steady-state cost of the summary
+// scan, which runs on every SumScanPeriod tick: a pass over a δ-log whose
+// records are all folded already validates each record's frame and skips
+// it without decoding its body, so it must not allocate.
+func TestFoldedDeltaScanZeroAlloc(t *testing.T) {
+	h := newHarness(t, schema.NewProjectManagement(), 2, 3, func(o *Options) {
+		o.CheckIntegrity = false
+		o.DisableFailureHandling = true
+	})
+	h.eng.At(0, func() {
+		for i := int64(0); i < 6; i++ {
+			h.invoke(0, schema.RefAddRight, spec.ArgsI(i, 100+i))
+		}
+	})
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("reducible calls did not replicate")
+	}
+	deltas, anchors, _ := deltaStats(h.cluster)
+	if deltas < 5 || anchors != 1 {
+		t.Fatalf("writer shipped %d δ-records and %d anchors; want one anchor, then δ-records", deltas, anchors)
+	}
+	r := h.cluster.Replica(1)
+	slot := r.sums[0][0]
+	if slot.version != 6 {
+		t.Fatalf("reader folded slot to v%d, want v6", slot.version)
+	}
+	allocs := testing.AllocsPerRun(1000, r.scanSummaries)
+	if slot.version != 6 {
+		t.Fatalf("a pass over folded records moved the slot to v%d", slot.version)
+	}
+	if allocs != 0 {
+		t.Errorf("scan pass over folded δ-records allocates %.1f objects, want 0", allocs)
+	}
 }

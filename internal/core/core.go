@@ -352,8 +352,6 @@ type Replica struct {
 	// Summaries.
 	sums     [][]*sumSlot // [sum group][proc]
 	sumVer   [][]uint32   // local write version per own slot
-	sigmaQ   spec.State   // materialized Apply(S)(σ)
-	qDirty   bool
 	haveSums bool
 	// coal batches summary-slot writes per peer into one chained doorbell;
 	// private by default, shared across shards when Options.Coalescers is
@@ -389,6 +387,12 @@ type Replica struct {
 	// contain decided, delivered calls.
 	sigmaSpec spec.State
 	specA     map[callKey2]uint32
+
+	// Folded summary views (replica.go): Apply(S)(σ) and Apply(S)(σ_spec),
+	// nil until (re)built. Always nil for classes without summarization
+	// groups, whose views are σ and σ_spec themselves.
+	sigmaQ spec.State
+	specQ  spec.State
 
 	applying bool
 
@@ -528,6 +532,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 			if leader != rdma.NodeID(r.id) {
 				// Deposed (or a peer elected): discard speculation.
 				r.sigmaSpec = nil
+				r.specQ = nil
 				r.specA = make(map[callKey2]uint32)
 			}
 		}

@@ -163,42 +163,113 @@ func (r *Replica) newCall(u spec.MethodID, args spec.Args) spec.Call {
 // use it to build unique OR-set tags).
 func (r *Replica) NextSeq() uint64 { return r.nextSeq + 1 }
 
-// --- queries ------------------------------------------------------------
+// --- queries and the summary views ---------------------------------------
+//
+// Queries read Apply(S)(σ) and the permissibility checks run against it
+// (and, at a leader, against Apply(S)(σ_spec)). For classes with
+// summarization groups both are kept as materialized views, sigmaQ and
+// specQ, and kept current by folding: a call applied to σ (or σ_spec) is
+// applied to its view too, and a call that advances a summary slot by one
+// Summarize step is applied to both views. Folding is sound because
+// Summarize(a, b) ≡ b∘a and reducible calls S-commute with every call (both
+// validated by spec.CheckRelations), so the fold lands on the state a
+// from-scratch rebuild would produce. A view is rebuilt only when a slot is
+// replaced wholesale (an adopted anchor or full frame) or, for specQ, when
+// the speculation is discarded. A nil view means "rebuild on next use".
 
 // queryState returns Apply(S)(σ): the stored state with all summarized
-// calls applied. For classes without summarization groups this is σ itself;
-// otherwise a materialized copy is rebuilt lazily when σ or a summary slot
-// changed.
+// calls applied. For classes without summarization groups this is σ itself.
 func (r *Replica) queryState() spec.State {
 	if !r.haveSums {
 		return r.sigma
 	}
-	if r.qDirty || r.sigmaQ == nil {
-		st := r.sigma.Clone()
-		for _, row := range r.sums {
-			for _, slot := range row {
-				r.cls.ApplyCall(st, slot.call)
-			}
-		}
-		r.sigmaQ = st
-		r.qDirty = false
+	if r.sigmaQ == nil {
+		r.sigmaQ = r.withSummaries(r.sigma)
 	}
 	return r.sigmaQ
 }
 
-// permissible checks P against the current (summary-applied) state.
+// specQuery returns Apply(S)(σ_spec), the leader's speculative view.
+func (r *Replica) specQuery() spec.State {
+	if !r.haveSums {
+		return r.specState()
+	}
+	if r.specQ == nil {
+		r.specQ = r.withSummaries(r.specState())
+	}
+	return r.specQ
+}
+
+// withSummaries rebuilds Apply(S)(base) from scratch: a copy of base with
+// every summary slot's call applied.
+func (r *Replica) withSummaries(base spec.State) spec.State {
+	st := base.Clone()
+	for _, row := range r.sums {
+		for _, slot := range row {
+			r.cls.ApplyCall(st, slot.call)
+		}
+	}
+	return st
+}
+
+// applySigma applies c to σ and folds it into sigmaQ.
+func (r *Replica) applySigma(c spec.Call) {
+	r.cls.ApplyCall(r.sigma, c)
+	if r.sigmaQ != nil {
+		r.cls.ApplyCall(r.sigmaQ, c)
+	}
+}
+
+// applySpec applies c to σ_spec (forking it from σ if needed) and folds it
+// into specQ.
+func (r *Replica) applySpec(c spec.Call) {
+	r.cls.ApplyCall(r.specState(), c)
+	if r.specQ != nil {
+		r.cls.ApplyCall(r.specQ, c)
+	}
+}
+
+// foldSummary folds c into both views after a summary slot advanced from
+// s to Summarize(s, c).
+func (r *Replica) foldSummary(c spec.Call) {
+	if r.sigmaQ != nil {
+		r.cls.ApplyCall(r.sigmaQ, c)
+	}
+	if r.specQ != nil {
+		r.cls.ApplyCall(r.specQ, c)
+	}
+}
+
+// replaceSummary drops both views after a summary slot was replaced
+// wholesale; they are rebuilt on next use.
+func (r *Replica) replaceSummary() {
+	r.sigmaQ = nil
+	r.specQ = nil
+}
+
+// permissible checks P against the current (summary-applied) state; calls
+// that are invariant-sufficient need no check.
 func (r *Replica) permissible(c spec.Call) bool {
-	if r.cls.TrivialInvariant {
+	if r.cls.InvariantSufficient(c) {
 		return true
 	}
 	return r.cls.Permissible(r.queryState(), c)
 }
 
+// assertIntegrity (Options.CheckIntegrity) panics when a folded view has
+// drifted from a from-scratch rebuild of its base, or when Apply(S)(σ)
+// violates the invariant.
 func (r *Replica) assertIntegrity(context string) {
-	if !r.opts.CheckIntegrity || r.cls.TrivialInvariant {
+	if !r.opts.CheckIntegrity {
 		return
 	}
-	if !r.cls.Invariant(r.queryState()) {
+	if r.sigmaQ != nil && !r.sigmaQ.Equal(r.withSummaries(r.sigma)) {
+		panic(fmt.Sprintf("core: folded Apply(S)(σ) drifted from its rebuild at p%d during %s", r.id, context))
+	}
+	if r.specQ != nil && !r.specQ.Equal(r.withSummaries(r.sigmaSpec)) {
+		panic(fmt.Sprintf("core: folded Apply(S)(σ_spec) drifted from its rebuild at p%d during %s", r.id, context))
+	}
+	if !r.cls.TrivialInvariant && !r.cls.Invariant(r.queryState()) {
 		panic(fmt.Sprintf("core: integrity violated at p%d during %s", r.id, context))
 	}
 }
@@ -225,7 +296,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	gi := groupIndexOf(r.cls.SumGroups[g].Methods, u)
 	slot.counts[gi]++
 	r.applied.Set(r.id, u, slot.counts[gi])
-	r.qDirty = true
+	r.foldSummary(c)
 	r.sumVer[g][int(r.id)]++
 	slot.version = r.sumVer[g][int(r.id)]
 
@@ -436,7 +507,6 @@ func (r *Replica) scanSummaries() {
 		}
 	}
 	if changed {
-		r.qDirty = true
 		r.assertIntegrity("summary scan")
 		r.kickApply()
 	}
@@ -466,14 +536,16 @@ func (r *Replica) scanFullSlot(g int, p spec.ProcID, slot *sumSlot, region []byt
 	if derr != nil || r.staleSlot(p, sepoch) {
 		return false, false
 	}
-	r.installScan(g, p, slot, ver, call, counts, "scan")
+	r.installSlot(g, p, slot, ver, call, counts, "scan")
+	r.replaceSummary()
 	return true, false
 }
 
-// installScan commits an adopted summary (version, call, counts) for peer
+// installSlot commits an adopted summary (version, call, counts) for peer
 // p's slot: the cached call flips, the applied counts advance monotonically,
-// and the adoption is traced for the conformance checker.
-func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, call spec.Call, counts []uint32, src string) {
+// and the adoption is traced for the conformance checker. The caller keeps
+// the summary views current (foldSummary or replaceSummary).
+func (r *Replica) installSlot(g int, p spec.ProcID, slot *sumSlot, ver uint32, call spec.Call, counts []uint32, src string) {
 	slot.version = ver
 	slot.call = call
 	for i, u := range r.cls.SumGroups[g].Methods {
@@ -505,8 +577,10 @@ const tornParkScans = 3
 // into the summary via the group's Summarize, and a version jumping further
 // ahead is a gap — deltas were lost (partition, dropped write), so the
 // reader schedules a one-sided fetch of the writer's authoritative full
-// state instead of folding onto the wrong base. The second result reports
-// the slot unreadable this pass (torn frame or log record).
+// state instead of folding onto the wrong base. Only the version+1 record's
+// body is decoded; every other record is validated (length, canary, CRC,
+// kind, version) and skipped. The second result reports the slot
+// unreadable this pass (torn frame or log record).
 func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
 	off := r.slotOffset(g, p)
 	changed := false
@@ -514,7 +588,8 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 	if payload, ver, err := codec.DecodeSlot(region[off : off+r.anchorCap()]); err == nil {
 		if ver > slot.version {
 			if counts, call, sepoch, derr := decodeSumSlot(payload); derr == nil && !r.staleSlot(p, sepoch) {
-				r.installScan(g, p, slot, ver, call, counts, "anchor")
+				r.installSlot(g, p, slot, ver, call, counts, "anchor")
+				r.replaceSummary()
 				changed = true
 			}
 		}
@@ -525,8 +600,9 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 	}
 	log := region[off+r.anchorCap() : off+r.opts.SumSlotSize]
 	grp := r.cls.SumGroups[g]
+walk:
 	for len(log) > 0 {
-		rec, n, err := codec.DecodeDeltaRecord(log)
+		kind, ver, n, err := codec.PeekDeltaRecord(log)
 		if err != nil {
 			if errors.Is(err, codec.ErrTorn) {
 				r.statTorn++
@@ -535,23 +611,26 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 			}
 			break // incomplete, torn or stale garbage: nothing beyond is usable
 		}
-		if rec.Kind != codec.FrameDelta {
+		if kind != codec.FrameDelta {
 			break
 		}
 		switch {
-		case rec.Version <= slot.version:
+		case ver <= slot.version:
 			// Stale leftover of an earlier log round, or already folded.
-		case rec.Version == slot.version+1:
-			folded := grp.Summarize(slot.call, rec.C)
-			r.installScan(g, p, slot, rec.Version, folded, rec.Counts, "delta")
+		case ver == slot.version+1:
+			rec, _, err := codec.DecodeDeltaRecord(log)
+			if err != nil {
+				break walk // structural garbage behind a valid CRC
+			}
+			r.installSlot(g, p, slot, ver, grp.Summarize(slot.call, rec.C), rec.Counts, "delta")
+			r.foldSummary(rec.C)
 			changed = true
 		default:
 			// Version gap: the missing δ-records will never reappear in
 			// this log, so give up on folding and fetch the full state.
 			r.fetchSlot(g, p, slot)
 			stuck = false // the fetch is the recovery; don't double up
-			log = nil
-			continue
+			break walk
 		}
 		log = log[n:]
 	}
@@ -610,8 +689,7 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	}
 	d := r.applied.Project(r.an.DependsOn[u])
 	r.node.CPU.Exec(r.opts.ApplyCost, func() {
-		r.cls.ApplyCall(r.sigma, c)
-		r.qDirty = true
+		r.applySigma(c)
 		r.applied.Inc(r.id, u)
 		r.statApplied++
 		r.mApplied.Inc()
@@ -807,8 +885,9 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 		return out
 	}
 	d := r.projectSpec(r.an.DependsOn[c.Method])
-	r.cls.ApplyCall(r.specState(), c)
+	r.applySpec(c)
 	r.specA[callKey2{c.Proc, c.Method}]++
+	r.assertIntegrity("order")
 	if r.tracing() {
 		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c, D: d})
 	}
@@ -828,19 +907,12 @@ func (r *Replica) specState() spec.State {
 }
 
 // specPermissible checks P against the speculative state with summaries
-// applied.
+// applied; calls that are invariant-sufficient need no check.
 func (r *Replica) specPermissible(c spec.Call) bool {
-	if r.cls.TrivialInvariant {
+	if r.cls.InvariantSufficient(c) {
 		return true
 	}
-	st := r.specState().Clone()
-	for _, row := range r.sums {
-		for _, slot := range row {
-			r.cls.ApplyCall(st, slot.call)
-		}
-	}
-	r.cls.ApplyCall(st, c)
-	return r.cls.Invariant(st)
+	return r.cls.Permissible(r.specQuery(), c)
 }
 
 // projectSpec projects the applied map plus the speculative overlay over
@@ -1008,8 +1080,7 @@ func (r *Replica) applyOneMutated() bool {
 }
 
 func (r *Replica) applyEntry(e pendingEntry, context string) {
-	r.cls.ApplyCall(r.sigma, e.c)
-	r.qDirty = true
+	r.applySigma(e.c)
 	r.applied.Inc(e.c.Proc, e.c.Method)
 	r.statApplied++
 	r.mApplied.Inc()
@@ -1037,7 +1108,7 @@ func (r *Replica) syncSpec(c spec.Call) {
 		}
 		return
 	}
-	r.cls.ApplyCall(r.sigmaSpec, c)
+	r.applySpec(c)
 }
 
 // --- failure handling ------------------------------------------------------
@@ -1266,22 +1337,8 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	// a read issued one RTT ago would clobber records that landed since.
 	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[r.slotOffset(g, p):],
 		data[:codec.SlotOverhead+len(payload)])
-	slot.version = ver
-	slot.call = call
-	for i, u := range r.cls.SumGroups[g].Methods {
-		if i < len(counts) && counts[i] > r.applied.Get(p, u) {
-			r.applied.Set(p, u, counts[i])
-			r.statApplied++
-			r.mApplied.Inc()
-		}
-	}
-	if r.tracing() {
-		r.opts.Tracer.RecordData(int(r.id), trace.Adopt, "",
-			fmt.Sprintf("adopted slot g%d/p%d v%d from read", g, p, ver),
-			trace.SlotRecord{Group: g, Src: p, Version: ver, Sum: call,
-				Counts: append([]uint32(nil), counts...)})
-	}
-	r.qDirty = true
+	r.installSlot(g, p, slot, ver, call, counts, "read")
+	r.replaceSummary()
 	r.kickApply()
 	return true
 }

@@ -177,14 +177,7 @@ func NewBankMap() *spec.Class {
 				return spec.Call{Method: BankOpen}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, x := range a.Args.I {
-					union[x] = true
-				}
-				for _, x := range b.Args.I {
-					union[x] = true
-				}
-				return spec.Call{Method: BankOpen, Args: spec.Args{I: union.sorted()}}
+				return spec.Call{Method: BankOpen, Args: spec.Args{I: spec.SortedUnion(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}

@@ -19,6 +19,7 @@ package crdt
 
 import (
 	"fmt"
+	"slices"
 
 	"hamband/internal/spec"
 )
@@ -51,20 +52,14 @@ func (s i64Set) equal(o i64Set) bool {
 	return true
 }
 
-func (s i64Set) sorted() []int64 {
+func (s i64Set) String() string {
 	out := make([]int64, 0, len(s))
 	for k := range s {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return fmt.Sprint(out)
 }
-
-func (s i64Set) String() string { return fmt.Sprint(s.sorted()) }
 
 // always and never are convenience relation predicates.
 func always2(_, _ spec.Call) bool { return true }

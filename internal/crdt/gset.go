@@ -34,14 +34,7 @@ func NewGSet() *spec.Class {
 			return spec.Call{Method: GSetAdd}
 		},
 		Summarize: func(a, b spec.Call) spec.Call {
-			union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-			for _, e := range a.Args.I {
-				union[e] = true
-			}
-			for _, e := range b.Args.I {
-				union[e] = true
-			}
-			return spec.Call{Method: GSetAdd, Args: spec.Args{I: union.sorted()}}
+			return spec.Call{Method: GSetAdd, Args: spec.Args{I: spec.SortedUnion(a.Args.I, b.Args.I)}}
 		},
 	}}
 	return cls

@@ -38,14 +38,7 @@ const (
 func NewTwoPSet() *spec.Class {
 	union := func(method spec.MethodID) func(a, b spec.Call) spec.Call {
 		return func(a, b spec.Call) spec.Call {
-			u := make(i64Set, len(a.Args.I)+len(b.Args.I))
-			for _, e := range a.Args.I {
-				u[e] = true
-			}
-			for _, e := range b.Args.I {
-				u[e] = true
-			}
-			return spec.Call{Method: method, Args: spec.Args{I: u.sorted()}}
+			return spec.Call{Method: method, Args: spec.Args{I: spec.SortedUnion(a.Args.I, b.Args.I)}}
 		}
 	}
 	cls := &spec.Class{

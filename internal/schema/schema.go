@@ -19,6 +19,8 @@
 package schema
 
 import (
+	"slices"
+
 	"hamband/internal/spec"
 )
 
@@ -232,19 +234,7 @@ func newReferential(names refNames) *spec.Class {
 				return spec.Call{Method: RefAddRight}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, e := range a.Args.I {
-					union[e] = true
-				}
-				for _, e := range b.Args.I {
-					union[e] = true
-				}
-				out := make([]int64, 0, len(union))
-				for e := range union {
-					out = append(out, e)
-				}
-				sortI64(out)
-				return spec.Call{Method: RefAddRight, Args: spec.Args{I: out}}
+				return spec.Call{Method: RefAddRight, Args: spec.Args{I: spec.SortedUnion(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}
@@ -292,16 +282,8 @@ func keys(s i64Set) []int64 {
 	for k := range s {
 		out = append(out, k)
 	}
-	sortI64(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortI64(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // MovieState is the movie schema's state: two independent relations.

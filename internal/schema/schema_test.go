@@ -2,6 +2,7 @@ package schema
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hamband/internal/spec"
@@ -124,11 +125,44 @@ func TestMovieRelationsIndependent(t *testing.T) {
 func TestAddRightSummarizeUnion(t *testing.T) {
 	cls := NewProjectManagement()
 	g := cls.SumGroups[0]
-	a := spec.Call{Method: RefAddRight, Args: spec.ArgsI(1, 2)}
-	b := spec.Call{Method: RefAddRight, Args: spec.ArgsI(2, 3)}
-	sum := g.Summarize(a, b)
-	if len(sum.Args.I) != 3 {
-		t.Fatalf("summary = %v, want union of 3", sum.Args.I)
+	// A summary the size of a long-running object's: every even employee.
+	large := make([]int64, 0, 2000)
+	for e := int64(0); e < 4000; e += 2 {
+		large = append(large, e)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b []int64
+	}{
+		{"overlap", []int64{1, 2}, []int64{2, 3}},
+		{"unsorted b with duplicates", []int64{4, 8}, []int64{9, 3, 8, 9, 1, 3}},
+		{"large a", large, []int64{3999, 7, 6, 7, -1}},
+		{"identity", nil, nil},
+	} {
+		a := spec.Call{Method: RefAddRight, Args: spec.Args{I: tc.a}}
+		b := spec.Call{Method: RefAddRight, Args: spec.Args{I: tc.b}}
+		sum := g.Summarize(a, b)
+		if sum.Method != RefAddRight {
+			t.Fatalf("%s: summary method %d, want addEmployee", tc.name, sum.Method)
+		}
+		// The summary travels in slot frames, so its argument vector must
+		// be exactly the ascending, duplicate-free union.
+		set := make(i64Set)
+		for _, e := range append(append([]int64(nil), tc.a...), tc.b...) {
+			set[e] = true
+		}
+		want := keys(set)
+		if !slices.Equal(sum.Args.I, want) {
+			t.Fatalf("%s: summary = %v, want sorted union %v", tc.name, sum.Args.I, want)
+		}
+		// Summarize(a, b) ≡ b∘a on the state.
+		direct, viaSum := cls.NewState(), cls.NewState()
+		cls.ApplyCall(direct, a)
+		cls.ApplyCall(direct, b)
+		cls.ApplyCall(viaSum, sum)
+		if !direct.Equal(viaSum) {
+			t.Fatalf("%s: summary is not the composition of its inputs", tc.name)
+		}
 	}
 	s := cls.NewState()
 	cls.ApplyCall(s, g.Identity())

@@ -243,14 +243,7 @@ func NewTournament() *spec.Class {
 				return spec.Call{Method: TournAddPlayer}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				u := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, x := range a.Args.I {
-					u[x] = true
-				}
-				for _, x := range b.Args.I {
-					u[x] = true
-				}
-				return spec.Call{Method: TournAddPlayer, Args: spec.Args{I: keys(u)}}
+				return spec.Call{Method: TournAddPlayer, Args: spec.Args{I: spec.SortedUnion(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}

@@ -11,6 +11,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -180,6 +181,16 @@ type SumGroup struct {
 	Summarize func(first, second Call) Call
 }
 
+// SortedUnion returns the sorted, duplicate-free union of a and b in a
+// fresh slice: the Summarize of every set-insert summarization group, whose
+// summary call carries its elements in ascending order.
+func SortedUnion(a, b []int64) []int64 {
+	out := make([]int64, 0, len(a)+len(b))
+	out = append(append(out, a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // Generators produce random states and calls for property testing and
 // workload generation. Every class provides them.
 type Generators struct {
@@ -233,6 +244,15 @@ func (c *Class) Permissible(sigma State, call Call) bool {
 	post := sigma.Clone()
 	c.Methods[call.Method].Apply(post, call.Args)
 	return c.Invariant(post)
+}
+
+// InvariantSufficient reports that call needs no permissibility check: the
+// invariant is trivially true, or call is declared invariant-sufficient
+// (permissible in every state satisfying the invariant, which
+// CheckRelations validates against Permissible). Runtimes consult it before
+// paying for Permissible's clone, so only guarded calls are checked.
+func (c *Class) InvariantSufficient(call Call) bool {
+	return c.TrivialInvariant || c.Rel.InvariantSufficient != nil && c.Rel.InvariantSufficient(call)
 }
 
 // ApplyCall applies an update call to the state in place.

@@ -238,6 +238,34 @@ func TestCheckRelationsAllClasses(t *testing.T) {
 	}
 }
 
+// TestClassInvariantSufficient pins the one rule runtimes use to skip the
+// permissibility clone: a trivial invariant, or the call's declared
+// invariant sufficiency — and nothing else.
+func TestClassInvariantSufficient(t *testing.T) {
+	acct := crdt.NewAccount()
+	for _, tc := range []struct {
+		c    spec.Call
+		want bool
+	}{
+		{spec.Call{Method: crdt.AccountDeposit, Args: spec.ArgsI(5)}, true},
+		{spec.Call{Method: crdt.AccountWithdraw, Args: spec.ArgsI(0)}, true},
+		{spec.Call{Method: crdt.AccountWithdraw, Args: spec.ArgsI(5)}, false},
+	} {
+		if got := acct.InvariantSufficient(tc.c); got != tc.want {
+			t.Errorf("account: InvariantSufficient(%s) = %v, want %v", tc.c.Format(acct), got, tc.want)
+		}
+	}
+	undeclared := crdt.NewAccount()
+	undeclared.Rel.InvariantSufficient = nil
+	if undeclared.InvariantSufficient(spec.Call{Method: crdt.AccountDeposit, Args: spec.ArgsI(5)}) {
+		t.Error("a class declaring no sufficiency skipped the check")
+	}
+	undeclared.TrivialInvariant = true
+	if !undeclared.InvariantSufficient(spec.Call{Method: crdt.AccountWithdraw, Args: spec.ArgsI(5)}) {
+		t.Error("a trivial invariant still required the check")
+	}
+}
+
 func TestCheckRelationsCatchesBadDeclarations(t *testing.T) {
 	// Declare withdraw/withdraw conflict-free: the checker must object
 	// (two positive withdrawals fail to P-concur yet have no edge).
