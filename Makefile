@@ -107,7 +107,7 @@ bench:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR13.json
+SNAPSHOT ?= BENCH_PR16.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -128,8 +128,8 @@ bench-reconfig:
 	$(GO) run ./cmd/hambench -exp reconfig
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
-OLD ?= BENCH_PR13.json
-NEW ?= BENCH_PR13.json
+OLD ?= BENCH_PR16.json
+NEW ?= BENCH_PR16.json
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

@@ -80,6 +80,8 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
 
 	res := shardResult{Shards: shards, Skew: skew, Ops: ops, PerShard: make([]int, shards)}
 	issued, done := 0, 0
+	start := eng.Now()
+	last := start // completion time of the latest call: the makespan's end
 	var issue func(p spec.ProcID)
 	issue = func(p spec.ProcID) {
 		if issued >= ops {
@@ -89,6 +91,7 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
 		si := pick()
 		st.Invoke(keys[si], p, crdt.CounterAdd, spec.ArgsI(1), func(_ any, err error) {
 			done++
+			last = eng.Now()
 			if err == nil {
 				res.PerShard[si]++
 			}
@@ -96,7 +99,7 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
 		})
 	}
 	const depth = 4 // outstanding calls per node
-	eng.At(eng.Now(), func() {
+	eng.At(start, func() {
 		for p := 0; p < nodes; p++ {
 			for s := 0; s < depth; s++ {
 				issue(spec.ProcID(p))
@@ -108,7 +111,9 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
 		eng.RunFor(100 * sim.Microsecond)
 	}
 
-	res.MakespanU = sim.Duration(eng.Now()).Micros()
+	// The run loop advances in 100 µs steps, so eng.Now() overshoots the
+	// last completion; the makespan ends at that completion instead.
+	res.MakespanU = sim.Duration(last - start).Micros()
 	if res.MakespanU > 0 {
 		res.OpsPerUs = float64(done) / res.MakespanU
 	}

@@ -194,9 +194,11 @@ func (b *Broadcaster) Broadcast(payload []byte, onDone func()) error {
 }
 
 // SetEpoch installs the configuration epoch stamped on subsequent
-// messages. Epochs only move forward; stale values are ignored.
+// messages. Epochs only move forward; stale values are ignored. A nil
+// broadcaster (a replica whose class has no irreducible conflict-free
+// method broadcasts nothing) ignores it.
 func (b *Broadcaster) SetEpoch(e uint32) {
-	if e > b.epoch {
+	if b != nil && e > b.epoch {
 		b.epoch = e
 	}
 }
@@ -440,7 +442,15 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 }
 
 // Stop cancels the receiver's poll loop.
-func (r *Receiver) Stop() { r.ticker.Cancel() }
+//
+// Stop, StaleRejects, FloorAfterDrain, RecoverFrom and Rings are safe on a
+// nil receiver: a replica whose class has no irreducible conflict-free
+// method builds none, so it has no rings to poll, gate or recover.
+func (r *Receiver) Stop() {
+	if r != nil {
+		r.ticker.Cancel()
+	}
+}
 
 // SetMinEpoch raises the epoch floor for one source: ring records and
 // backup slots src stamped with an older configuration are rejected and
@@ -465,6 +475,9 @@ func (r *Receiver) SetMinEpoch(src rdma.NodeID, e uint32) {
 // removed node's writes are refused at the NIC, so everything in the ring
 // predates the revocation.
 func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
+	if r == nil {
+		return
+	}
 	if cur, ok := r.pendingMin[src]; (!ok || e > cur) && e > r.minEpoch[src] {
 		r.pendingMin[src] = e
 	}
@@ -473,6 +486,9 @@ func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
 // StaleRejects returns how many records the epoch gates have rejected
 // across all sources (ring records and recovered backup slots).
 func (r *Receiver) StaleRejects() uint64 {
+	if r == nil {
+		return 0
+	}
 	total := r.staleBackup
 	for _, rd := range r.readers {
 		total += rd.StaleRejects()
@@ -565,7 +581,7 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte) {
 // (its in-flight messages were not delivered anywhere they can be read
 // back from).
 func (r *Receiver) RecoverFrom(src rdma.NodeID) {
-	if src == r.node.ID() {
+	if r == nil || src == r.node.ID() {
 		return
 	}
 	r.mRecoveries.Inc()

@@ -26,8 +26,11 @@ type SourceHealth struct {
 
 // Rings reports the health of every inbound ring, ordered by source. The
 // snapshot is cheap (one pass over fabric-size readers, no allocation
-// beyond the result slice) and read-only.
+// beyond the result slice) and read-only. A nil receiver has no rings.
 func (r *Receiver) Rings() []SourceHealth {
+	if r == nil {
+		return nil
+	}
 	out := make([]SourceHealth, 0, len(r.readers))
 	for src, rd := range r.readers {
 		h := SourceHealth{

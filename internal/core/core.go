@@ -200,8 +200,13 @@ type Cluster struct {
 func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 
 // NewCluster builds a Hamband deployment of the analyzed class over fab:
-// it registers all memory regions, creates the broadcast, heartbeat and
-// per-group consensus instances, and starts every replica's pollers.
+// it registers the memory regions, creates the broadcast, heartbeat and
+// per-group consensus instances, and starts every replica's pollers. A
+// replica holds only the machinery its method categories use: summary
+// slots for reducible methods, the reliable broadcast (backup slots,
+// inbound rings, receiver poll) for irreducible conflict-free ones, one Mu
+// instance per synchronization group, and the apply pump's retry ticker
+// only where calls are buffered (free or conflicting methods).
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor frame needs most of
@@ -250,7 +255,9 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 
 	// Region registration.
 	c.Opts.Broadcast.Namespace = opts.Namespace
-	broadcast.Setup(fab, c.Opts.Broadcast)
+	if an.Has(spec.CatIrreducibleFree) {
+		broadcast.Setup(fab, c.Opts.Broadcast)
+	}
 	for g := range an.SyncGroups {
 		mu.Setup(fab, muGroup(opts.Namespace, g), opts.Mu, rdma.NodeID(c.leaders[g]))
 	}
@@ -364,7 +371,8 @@ type Replica struct {
 	fQueues [][]pendingEntry // per source proc
 	lQueues [][]pendingEntry // per sync group
 
-	// Protocol components.
+	// Protocol components. bc and rx are nil for a class without an
+	// irreducible conflict-free method: nothing is broadcast.
 	bc     *broadcast.Broadcaster
 	rx     *broadcast.Receiver
 	groups []*mu.Instance
@@ -495,17 +503,20 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	}
 
 	// Broadcast: carries irreducible conflict-free calls into F buffers.
-	r.bc = broadcast.NewBroadcaster(c.Fab, r.node, c.Opts.Broadcast)
-	onFree := r.onFreeDelivery
-	if hook := c.Opts.FreeDeliveryHook; hook != nil {
-		onFree = func(src rdma.NodeID, seq uint64, payload []byte) {
-			if hook(id, src, payload) {
-				return
+	free := c.An.Has(spec.CatIrreducibleFree)
+	if free {
+		r.bc = broadcast.NewBroadcaster(c.Fab, r.node, c.Opts.Broadcast)
+		onFree := r.onFreeDelivery
+		if hook := c.Opts.FreeDeliveryHook; hook != nil {
+			onFree = func(src rdma.NodeID, seq uint64, payload []byte) {
+				if hook(id, src, payload) {
+					return
+				}
+				r.onFreeDelivery(src, seq, payload)
 			}
-			r.onFreeDelivery(src, seq, payload)
 		}
+		r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, onFree)
 	}
-	r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, onFree)
 
 	// One consensus instance per synchronization group.
 	for g := range c.An.SyncGroups {
@@ -548,7 +559,11 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	if r.haveSums {
 		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.SumScanPeriod, r.scanSummaries))
 	}
-	r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.ApplyPeriod, r.kickApply))
+	if free || c.An.Has(spec.CatConflicting) {
+		// Only F and L buffers hold dependency-blocked calls; a class
+		// with neither keeps them empty and needs no retry.
+		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.ApplyPeriod, r.kickApply))
+	}
 	return r
 }
 

@@ -260,9 +260,10 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 				continue
 			}
 			node := c.Fab.Node(rdma.NodeID(i))
-			node.Region(broadcast.InboundRegion(ns, t)).AllowWrite(t)
-			if reg := node.Region(ns + sumRegionBase); reg != nil {
-				reg.AllowWrite(t)
+			for _, name := range []string{broadcast.InboundRegion(ns, t), ns + sumRegionBase} {
+				if reg := node.Region(name); reg != nil {
+					reg.AllowWrite(t)
+				}
 			}
 		}
 		// Catch-up: the node kept receiving broadcasts and consensus log
@@ -280,9 +281,10 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 				continue
 			}
 			node := c.Fab.Node(rdma.NodeID(i))
-			node.Region(broadcast.InboundRegion(ns, t)).RevokeWrite(t)
-			if reg := node.Region(ns + sumRegionBase); reg != nil {
-				reg.RevokeWrite(t)
+			for _, name := range []string{broadcast.InboundRegion(ns, t), ns + sumRegionBase} {
+				if reg := node.Region(name); reg != nil {
+					reg.RevokeWrite(t)
+				}
 			}
 		}
 		// Raise the epoch floors for the departed source only once each

@@ -11,7 +11,8 @@ import (
 // leaves every schedule — and hence every chaos trace hash — unchanged.
 
 // Receiver exposes the replica's broadcast receiver for per-source ring
-// health (occupancy, torn streaks, parked floors).
+// health (occupancy, torn streaks, parked floors). It is nil for a class
+// without irreducible conflict-free methods; its Rings are then empty.
 func (r *Replica) Receiver() *broadcast.Receiver { return r.rx }
 
 // EpochFloors returns copies of the per-source slot-adoption epoch floors:

@@ -56,7 +56,8 @@ type NodeHealth struct {
 	FreeQueue, ConfQueue                 int // buffered calls awaiting apply
 
 	// Per-source inbound ring health (occupancy, torn streaks, parked
-	// floors), ordered by source.
+	// floors), ordered by source. Empty for a class without irreducible
+	// conflict-free methods: its replicas build no broadcast receiver.
 	Rings []broadcast.SourceHealth
 
 	// Per-group consensus health, ordered by group.

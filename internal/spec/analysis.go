@@ -217,6 +217,18 @@ func (a *Analysis) Conflicting(u MethodID) bool { return a.Category[u] == CatCon
 // Reducible reports whether method u is reducible.
 func (a *Analysis) Reducible(u MethodID) bool { return a.Category[u] == CatReducible }
 
+// Has reports whether any method of the class falls in category c. The
+// runtime builds a category's machinery (summary slots, broadcast, Mu)
+// only for a class that has such a method.
+func (a *Analysis) Has(c Category) bool {
+	for _, cat := range a.Category {
+		if cat == c {
+			return true
+		}
+	}
+	return false
+}
+
 // NumMethods returns the number of methods in the class.
 func (a *Analysis) NumMethods() int { return len(a.Category) }
 

@@ -161,10 +161,12 @@ func (s *Store) routeMatch(name string) bool {
 func namespace(key string) string { return "shard[" + key + "]/" }
 
 // Footprint returns the exact per-node memory a shard of the analyzed
-// class costs under the given core options: summary slots, broadcast
-// backup + inbound rings, and per-sync-group Mu log/journal/state plus
-// per-peer request/vote/grant rings. Open admits against this number, and
-// the arena accounting in the tests pins it byte-for-byte.
+// class costs under the given core options. It follows the replica's
+// category shape: summary slots when the class has summarization groups,
+// the epoch word always, broadcast backup + inbound rings only with an
+// irreducible conflict-free method, and per-sync-group Mu log/journal/state
+// plus per-peer request/vote/grant rings. Open admits against this number,
+// and the arena accounting in the tests pins it byte-for-byte.
 func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
 	total, _ := footprintDetail(an, nodes, o)
 	return total
@@ -183,8 +185,10 @@ func footprintDetail(an *spec.Analysis, nodes int, o core.Options) (total, large
 		add(nslots*o.SumSlotSize, 1)
 	}
 	add(8, 1) // configuration-epoch word (dynamic membership)
-	add(o.Broadcast.BackupSlots*o.Broadcast.BackupSlot, 1)
-	add(ring.RegionSize(o.Broadcast.RingCapacity), nodes-1)
+	if an.Has(spec.CatIrreducibleFree) {
+		add(o.Broadcast.BackupSlots*o.Broadcast.BackupSlot, 1)
+		add(ring.RegionSize(o.Broadcast.RingCapacity), nodes-1)
+	}
 	for range an.SyncGroups {
 		add(ring.RegionSize(o.Mu.RingCapacity), 1)       // leader log
 		add(o.Mu.JournalSlots*o.Mu.JournalSlotSize, 1)   // journal

@@ -38,13 +38,10 @@ func newStore(t *testing.T, nodes int, seed int64, opts Options) (*sim.Engine, *
 
 func TestOpenBudgetTypedError(t *testing.T) {
 	opts := testOptions()
-	opts.MemoryBudget = 64 * 1024 // fits one small counter shard, not two
-	_, s := newStore(t, 3, 1, opts)
 	an := spec.MustAnalyze(crdt.NewCounter())
 	fp := Footprint(an, 3, opts.Core)
-	if fp > opts.MemoryBudget {
-		t.Fatalf("test premise broken: one shard (%d B) exceeds the budget", fp)
-	}
+	opts.MemoryBudget = fp + fp/2 // fits one small counter shard, not two
+	_, s := newStore(t, 3, 1, opts)
 	if _, err := s.Open("a", an, ShardOptions{}); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
@@ -62,20 +59,34 @@ func TestOpenBudgetTypedError(t *testing.T) {
 func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 	opts := testOptions()
 	_, s := newStore(t, 4, 2, opts)
-	classes := map[string]*spec.Class{
-		"ctr":   crdt.NewCounter(), // reducible only: summary slots
-		"items": crdt.NewORSet(),   // irreducible conflict-free: broadcast rings
-		"acct":  crdt.NewAccount(), // conflicting: per-shard Mu groups
+	// Counter shards hold their summary slots and the epoch word only:
+	// 4 nodes × 4 KiB + 8 B. OR-set shards hold the epoch word, the
+	// 64 × 512 B broadcast backup slots and 3 inbound rings of 4 KiB plus
+	// an 8 B header each, and no summary slots. Both are pinned literally
+	// so a change in what a category builds shows up here.
+	shards := []struct {
+		key  string
+		cls  *spec.Class
+		want int // pinned per-node footprint; 0 checks the formula only
+	}{
+		{"ctr0", crdt.NewCounter(), 16392}, // reducible only: summary slots
+		{"items0", crdt.NewORSet(), 45088}, // irreducible conflict-free: broadcast rings
+		{"ctr1", crdt.NewCounter(), 16392},
+		{"items1", crdt.NewORSet(), 45088},
+		{"acct", crdt.NewAccount(), 0}, // conflicting: per-shard Mu groups
 	}
 	want := 0
-	for key, cls := range classes {
-		an := spec.MustAnalyze(cls)
-		sh, err := s.Open(key, an, ShardOptions{})
+	for _, tc := range shards {
+		an := spec.MustAnalyze(tc.cls)
+		sh, err := s.Open(tc.key, an, ShardOptions{})
 		if err != nil {
-			t.Fatalf("open %s: %v", key, err)
+			t.Fatalf("open %s: %v", tc.key, err)
 		}
 		if sh.Footprint() != Footprint(an, 4, opts.Core) {
-			t.Fatalf("%s: shard footprint %d != Footprint() %d", key, sh.Footprint(), Footprint(an, 4, opts.Core))
+			t.Fatalf("%s: shard footprint %d != Footprint() %d", tc.key, sh.Footprint(), Footprint(an, 4, opts.Core))
+		}
+		if tc.want != 0 && sh.Footprint() != tc.want {
+			t.Fatalf("%s: footprint %d B, pinned %d B", tc.key, sh.Footprint(), tc.want)
 		}
 		want += sh.Footprint()
 	}
