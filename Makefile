@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet fmt staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health smoke cover check
+.PHONY: all build test vet fmt staticcheck race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health smoke cover check
 
 all: check
 
@@ -28,13 +28,9 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go vet still gates)"; \
 	fi
 
+# race runs the full test suite under the race detector, uncached so every
+# run actually exercises the detector.
 race:
-	$(GO) test -race ./...
-
-# check-race is the standalone race-detector lane CI runs in parallel with
-# the main gate: build plus the full test suite under -race, uncached so
-# every run actually exercises the detector.
-check-race: build
 	$(GO) test -race -count=1 ./...
 
 # chaos replays the committed fixed-seed plan corpus (including the three

@@ -13,16 +13,18 @@ import (
 )
 
 // wireClasses are the classes the wire-efficiency study covers: every
-// reducible bundle the δ-summary path accelerates, plus the two F-path
-// classes whose broadcast records the packed framing shrinks.
+// reducible bundle the δ-summary path accelerates. Classes with no
+// reducible method (orset, cart) are the same in both arms: their
+// broadcast records always use the packed framing.
 func wireClasses() []func() *spec.Class {
 	return []func() *spec.Class{
 		crdt.NewCounter, crdt.NewPNCounter, crdt.NewLWW, crdt.NewGSet,
-		crdt.NewLWWMap, crdt.NewTwoPSet, crdt.NewORSet, crdt.NewCart,
+		crdt.NewLWWMap, crdt.NewTwoPSet,
 	}
 }
 
-// wirePoint runs one traced Hamband point with the δ-pipeline toggled and
+// wirePoint runs one traced Hamband point with the δ-record log on, or off
+// (DeltaLogBytes = 0: every summary write is a full-state anchor), and
 // reports bytes-on-wire per completed op plus the share of call latency the
 // span attribution charges to the wire stage.
 func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int, deltaOn bool) (res *Result, bytesPerOp, wireShare float64) {
@@ -30,8 +32,9 @@ func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int, deltaOn bool) (res 
 	an := spec.MustAnalyze(cls)
 	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
 	opts := core.DefaultOptions()
-	opts.DeltaSummaries = deltaOn
-	opts.DeltaWire = deltaOn
+	if !deltaOn {
+		opts.DeltaLogBytes = 0
+	}
 	tr := trace.New(eng, 1<<20)
 	opts.Tracer = tr
 	sys := &hambandSystem{c: core.NewCluster(fab, an, opts)}

@@ -115,9 +115,10 @@ type Plan struct {
 	// the conformance harness's checks must catch.
 	MutateApplyOrder bool `json:"mutate_apply_order,omitempty"`
 
-	// FullSummaries disables the δ-mutation pipeline (summary slots carry
-	// full state only, F-records use the legacy fixed-width framing) — the
-	// ablation arm for delta-vs-full chaos comparisons.
+	// FullSummaries leaves summary slots no δ-record log
+	// (core.Options.DeltaLogBytes = 0), so every reducible call rewrites
+	// the full state — the ablation arm for delta-vs-full chaos
+	// comparisons.
 	FullSummaries bool `json:"full_summaries,omitempty"`
 
 	// AnchorInterval, when positive, overrides the δ-log's full-state

@@ -212,8 +212,7 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	sopts.Core.DisableFailureHandling = p.DisableRecovery
 	sopts.Core.MutateApplyOrder = p.MutateApplyOrder
 	if p.FullSummaries {
-		sopts.Core.DeltaSummaries = false
-		sopts.Core.DeltaWire = false
+		sopts.Core.DeltaLogBytes = 0
 	}
 	if p.AnchorInterval > 0 {
 		sopts.Core.AnchorInterval = p.AnchorInterval

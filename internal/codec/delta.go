@@ -1,17 +1,17 @@
 // Delta-record framing and varint packing — the wire diet for δ-state
 // dissemination (Almeida et al.): reducible classes ship each mutation as a
-// small δ-record and periodically anchor the full summarized state, instead
-// of overwriting the full serialized summary on every call.
+// small δ-record and periodically anchor the full summarized state (a slot
+// frame, see EncodeSlot), instead of overwriting the full serialized
+// summary on every call.
 //
-// A δ-record is a self-delimiting, CRC-validated frame like PR 6's records:
+// A δ-record is a self-delimiting, CRC-validated frame like the entry
+// records of EncodeEntry:
 //
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
-// The kind byte names the record's role in a delta-group: FrameFull is a
-// packed full call record (the δ-mutation broadcast path), FrameDelta one
-// folded reducible call, FrameAnchor a full summarized state. Kind bytes
-// live above 0xF0 so a delta record can never be confused with a legacy
-// EncodeEntry record, whose fifth byte is a method id's low byte.
+// The kind byte names the record's role: FrameFull is a packed full call
+// record (every irreducible conflict-free broadcast record), FrameDelta one
+// folded reducible call in a summary slot's δ-log.
 //
 // All integers are varint-packed; spec.DepVec and the per-method applied
 // counts use a columnar delta encoding (first value, then zigzag deltas
@@ -29,12 +29,10 @@ import (
 	"hamband/internal/spec"
 )
 
-// Delta-record kinds. Values above 0xF0 are unreachable as the fifth byte
-// of a legacy entry record (a u16 method id's low byte for any real class).
+// Delta-record kinds.
 const (
-	FrameFull   byte = 0xF1 // packed full call record (δ-mutation broadcast)
-	FrameDelta  byte = 0xF2 // one folded reducible call of a delta-group
-	FrameAnchor byte = 0xF3 // full summarized state anchoring a delta-group
+	FrameFull  byte = 0xF1 // packed full call record (δ-mutation broadcast)
+	FrameDelta byte = 0xF2 // one folded reducible call of a delta-group
 )
 
 // minDelta is the smallest possible delta record: length word, kind,
@@ -227,10 +225,10 @@ func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
 // The CRC32-C covers every byte before it, length word included, exactly
-// like the legacy entry frame, so torn landings are rejected the same way.
+// like the EncodeEntry frame, so torn landings are rejected the same way.
 func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	switch r.Kind {
-	case FrameFull, FrameDelta, FrameAnchor:
+	case FrameFull, FrameDelta:
 	default:
 		return nil, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
@@ -287,7 +285,7 @@ func PeekDeltaRecord(b []byte) (kind byte, version uint32, n int, err error) {
 	}
 	kind = b[4]
 	switch kind {
-	case FrameFull, FrameDelta, FrameAnchor:
+	case FrameFull, FrameDelta:
 	default:
 		return 0, 0, 0, errDeltaKind
 	}

@@ -25,7 +25,7 @@ func sampleDelta() DeltaRecord {
 }
 
 func TestDeltaRecordRoundTrip(t *testing.T) {
-	for _, kind := range []byte{FrameFull, FrameDelta, FrameAnchor} {
+	for _, kind := range []byte{FrameFull, FrameDelta} {
 		r := sampleDelta()
 		r.Kind = kind
 		b, err := EncodeDeltaRecord(r)
@@ -114,7 +114,7 @@ func TestDeltaTruncationSweep(t *testing.T) {
 	}
 }
 
-// TestEntryTruncationDistinguished pins the satellite fix on the legacy
+// TestEntryTruncationDistinguished pins the truncation rule of the entry
 // decoder: a short buffer is ErrTruncated (retry), not ErrCorrupt (park),
 // and ErrTruncated still satisfies errors.Is(_, ErrIncomplete) for callers
 // that only branch on retryability.
@@ -231,9 +231,10 @@ func FuzzDeltaEntry(f *testing.F) {
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 0xff
 	f.Add(bad)
-	anchor, _ := EncodeDeltaRecord(DeltaRecord{Kind: FrameAnchor, Version: 1,
-		C: spec.Call{Method: 1}, Counts: []uint32{1}})
-	f.Add(anchor)
+	// A CRC-intact frame of an unknown kind: the header check rejects it.
+	unknown := append([]byte(nil), good...)
+	unknown[4] = FrameDelta + 1
+	f.Add(reframe(unknown))
 	// A CRC-intact frame around a body that overruns itself: the header
 	// check passes, the full decode must not.
 	garbage := append([]byte(nil), good...)

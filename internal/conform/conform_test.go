@@ -65,7 +65,7 @@ func corpusPlans() []chaos.Plan {
 		chaos.Generate("orset", 4, 60, 205),
 		chaos.Generate("bankmap", 4, 60, 206),
 		deltaFaulty,
-		// Ablation arm: the legacy full-state path must stay conforming.
+		// Ablation arm: full-state mode (no δ-log) must stay conforming.
 		{Class: "counter", Nodes: 4, Ops: 80, Seed: 208, FullSummaries: true},
 	}
 }

@@ -70,28 +70,23 @@ type Options struct {
 	FreeBatchSize  int
 	FreeBatchDelay sim.Duration
 
-	// DeltaSummaries stores summary slots as delta-groups: each reducible
-	// call ships one small δ-record into the slot's log area and the full
-	// summarized state is rewritten only every AnchorInterval calls (or
-	// when the log fills). Remote scanners fold the δ-records onto their
-	// last adopted state and fall back to a one-sided full-state fetch of
-	// the writer's own slot on a version gap or a persistently torn frame.
-	// The writer's own region always holds the current full frame, so
-	// repair, recovery and recency reads stay anchor-aware for free.
-	DeltaSummaries bool
-
-	// DeltaWire ships irreducible conflict-free broadcast records in the
-	// packed varint δ-framing (codec.FrameFull) instead of the fixed-width
-	// entry encoding; receivers accept both.
-	DeltaWire bool
-
-	// AnchorInterval is the number of δ-records between full-state anchors
-	// of a delta-group summary slot (≥ 1; 1 degenerates to full-state
-	// writes framed as anchors).
+	// AnchorInterval is the number of δ-records a summary slot's writer
+	// ships between full-state anchors (≥ 1; 1 alternates anchors and
+	// δ-records). Every reducible call writes one δ-record into the slot's
+	// log area except the call that starts a round, which rewrites the
+	// full summarized state at the slot head; remote scanners fold the
+	// δ-records onto their last adopted anchor and fall back to a
+	// one-sided fetch of the writer's own slot on a version gap or a
+	// persistently torn frame. The writer's own region always holds the
+	// current full frame, so repair, recovery and recency reads stay
+	// anchor-aware for free.
 	AnchorInterval int
 
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
-	// the δ-record log; the rest holds the full-state anchor frame.
+	// the δ-record log; the rest holds the full-state anchor frame. Zero
+	// (or anything below 64 bytes) leaves no log: every reducible call
+	// then rewrites the full state, the full-state mode the δ-pipeline is
+	// measured against.
 	DeltaLogBytes int
 
 	// Leaders overrides the leader of each synchronization group
@@ -167,8 +162,6 @@ func DefaultOptions() Options {
 		QueryCost:      100 * sim.Nanosecond,
 		FreeBatchSize:  1,
 		FreeBatchDelay: 5 * sim.Microsecond,
-		DeltaSummaries: true,
-		DeltaWire:      true,
 		AnchorInterval: 32,
 		DeltaLogBytes:  4096,
 	}
@@ -210,18 +203,17 @@ func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor frame needs most of
-	// the slot (summaries grow with the object), so the log is clamped to
-	// at most half the slot and delta mode is dropped when no room remains.
-	if opts.DeltaSummaries {
-		if opts.AnchorInterval < 1 {
-			opts.AnchorInterval = 1
-		}
-		if opts.DeltaLogBytes <= 0 || opts.DeltaLogBytes > opts.SumSlotSize/2 {
-			opts.DeltaLogBytes = opts.SumSlotSize / 4
-		}
-		if opts.DeltaLogBytes < 64 {
-			opts.DeltaSummaries = false
-		}
+	// the slot (summaries grow with the object), so a log larger than half
+	// the slot is cut to a quarter, and one too small to hold a record is
+	// dropped (full-state mode).
+	if opts.AnchorInterval < 1 {
+		opts.AnchorInterval = 1
+	}
+	if opts.DeltaLogBytes > opts.SumSlotSize/2 {
+		opts.DeltaLogBytes = opts.SumSlotSize / 4
+	}
+	if opts.DeltaLogBytes < 64 {
+		opts.DeltaLogBytes = 0
 	}
 	c := &Cluster{Fab: fab, An: an, Opts: opts}
 	c.leaders = opts.Leaders
@@ -323,7 +315,7 @@ type sumSlot struct {
 	call    spec.Call
 	counts  []uint32 // applied counts per method of the group, in group order
 
-	// Delta-group reader state (DeltaSummaries).
+	// Delta-group reader state.
 	tornStreak uint8 // consecutive scans stuck on a torn frame
 	fetching   bool  // a full-state fetch of this slot is outstanding
 }
@@ -364,7 +356,7 @@ type Replica struct {
 	// private by default, shared across shards when Options.Coalescers is
 	// set (cross-shard WRs to one peer then ride one chain).
 	coal *rdma.Coalescer
-	// Per-group delta-writer state for the own slot (DeltaSummaries).
+	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
 
 	// Buffers: FIFO queues of delivered-but-unapplied calls.
@@ -493,13 +485,11 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.sums = append(r.sums, row)
 		r.sumVer = append(r.sumVer, make([]uint32, n))
 	}
-	if c.Opts.DeltaSummaries {
-		r.deltaW = make([]deltaWriter, len(cls.SumGroups))
-		for g := range r.deltaW {
-			// Force a full-state anchor on the first reducible call so
-			// remote readers never fold onto an unanchored identity.
-			r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
-		}
+	r.deltaW = make([]deltaWriter, len(cls.SumGroups))
+	for g := range r.deltaW {
+		// Force a full-state anchor on the first reducible call so remote
+		// readers never fold onto an unanchored identity.
+		r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
 	}
 
 	// Broadcast: carries irreducible conflict-free calls into F buffers.

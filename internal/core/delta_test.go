@@ -20,33 +20,53 @@ func deltaStats(c *Cluster) (deltas, anchors, fetches uint64) {
 	return
 }
 
-// TestDeltaSummariesConverge drives random reducible traffic from every
-// node with a small anchor interval: the cluster must converge exactly as
-// in full-state mode, with the wire carrying mostly δ-records.
+// TestDeltaSummariesConverge drives the same seeded random reducible
+// traffic from every node at several anchor intervals and in full-state
+// mode (no δ-log): every run must converge, all to the same final state
+// (anchor-interval invariance), with the wire carrying mostly δ-records
+// once the interval exceeds one.
 func TestDeltaSummariesConverge(t *testing.T) {
-	h := newHarness(t, crdt.NewPNCounter(), 4, 71, func(o *Options) {
-		o.AnchorInterval = 4
-	})
-	h.eng.At(0, func() {
-		for i := 0; i < 40; i++ {
-			p := spec.ProcID(h.rng.Intn(4))
-			if h.rng.Intn(2) == 0 {
-				h.invoke(p, crdt.PNInc, spec.ArgsI(int64(h.rng.Intn(50))))
-			} else {
-				h.invoke(p, crdt.PNDec, spec.ArgsI(int64(h.rng.Intn(50))))
+	var want spec.State
+	for _, tc := range []struct {
+		name     string
+		interval int
+		full     bool
+	}{{"interval1", 1, false}, {"interval3", 3, false}, {"interval8", 8, false}, {"full", 8, true}} {
+		h := newHarness(t, crdt.NewPNCounter(), 4, 71, func(o *Options) {
+			o.AnchorInterval = tc.interval
+			if tc.full {
+				o.DeltaLogBytes = 0
 			}
+		})
+		h.eng.At(0, func() {
+			for i := 0; i < 40; i++ {
+				p := spec.ProcID(h.rng.Intn(4))
+				if h.rng.Intn(2) == 0 {
+					h.invoke(p, crdt.PNInc, spec.ArgsI(int64(h.rng.Intn(50))))
+				} else {
+					h.invoke(p, crdt.PNDec, spec.ArgsI(int64(h.rng.Intn(50))))
+				}
+			}
+		})
+		if !h.drain(100 * sim.Millisecond) {
+			t.Fatalf("%s: replication did not complete", tc.name)
 		}
-	})
-	if !h.drain(100 * sim.Millisecond) {
-		t.Fatal("replication did not complete")
-	}
-	h.checkConvergence()
-	deltas, anchors, _ := deltaStats(h.cluster)
-	if deltas == 0 || anchors == 0 {
-		t.Fatalf("delta pipeline idle: deltas=%d anchors=%d", deltas, anchors)
-	}
-	if deltas < anchors {
-		t.Fatalf("anchors dominate (%d anchors vs %d deltas); interval 4 should fold more", anchors, deltas)
+		h.checkConvergence()
+		got := h.cluster.Replica(0).CurrentState()
+		if want == nil {
+			want = got
+		} else if !got.Equal(want) {
+			t.Fatalf("%s: final state %v, want %v (from interval1)", tc.name, got, want)
+		}
+		deltas, anchors, _ := deltaStats(h.cluster)
+		switch {
+		case tc.full && deltas != 0:
+			t.Fatalf("full: %d δ-records written with no δ-log", deltas)
+		case !tc.full && (deltas == 0 || anchors == 0):
+			t.Fatalf("%s: delta pipeline idle: deltas=%d anchors=%d", tc.name, deltas, anchors)
+		case !tc.full && tc.interval > 1 && deltas < anchors:
+			t.Fatalf("%s: anchors dominate (%d anchors vs %d deltas)", tc.name, anchors, deltas)
+		}
 	}
 }
 
@@ -78,8 +98,9 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 func TestDeltaFullAblationAgree(t *testing.T) {
 	run := func(deltaOn bool) (spec.State, uint64) {
 		h := newHarness(t, crdt.NewGSet(), 3, 73, func(o *Options) {
-			o.DeltaSummaries = deltaOn
-			o.DeltaWire = deltaOn
+			if !deltaOn {
+				o.DeltaLogBytes = 0
+			}
 		})
 		h.eng.At(0, func() {
 			for i := 0; i < 24; i++ {
@@ -178,31 +199,5 @@ func TestDeltaGapFetchesFullState(t *testing.T) {
 	}
 	if got := r0.CurrentState().(*crdt.CounterState).V; got != 21 {
 		t.Fatalf("writer state = %d, want 21", got)
-	}
-}
-
-// TestFreeWireFormatsInterop feeds one broadcast batch holding a legacy
-// fixed-width entry and a packed δ-record to the delivery path: both must
-// land in the source's F buffer, so mixed-version clusters interoperate.
-func TestFreeWireFormatsInterop(t *testing.T) {
-	h := newHarness(t, crdt.NewORSet(), 2, 76, nil)
-	r := h.cluster.Replica(1)
-	legacy, err := codec.EncodeEntry(spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(1, 100), Proc: 0, Seq: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
-		Kind: codec.FrameFull,
-		C:    spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.onFreeDelivery(0, 1, append(append([]byte(nil), legacy...), packed...))
-	if got := len(r.fQueues[0]); got != 2 {
-		t.Fatalf("delivered %d entries from a mixed batch, want 2", got)
-	}
-	if r.fQueues[0][0].c.Seq != 1 || r.fQueues[0][1].c.Seq != 2 {
-		t.Fatalf("batch order lost: %+v", r.fQueues[0])
 	}
 }

@@ -159,10 +159,6 @@ func (r *Replica) newCall(u spec.MethodID, args spec.Args) spec.Call {
 	return spec.Call{Method: u, Args: args, Proc: r.id, Seq: r.nextSeq}
 }
 
-// NextSeq previews the next request sequence number (workload generators
-// use it to build unique OR-set tags).
-func (r *Replica) NextSeq() uint64 { return r.nextSeq + 1 }
-
 // --- queries and the summary views ---------------------------------------
 //
 // Queries read Apply(S)(σ) and the permissibility checks run against it
@@ -321,18 +317,15 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// count travel in one frame, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
 	// writes are queued per peer and flushed as one chained doorbell;
-	// successive versions of a slot stay ordered on the QP. Under
-	// DeltaSummaries the propagated frame is usually a small δ-record into
-	// the slot's log area; every AnchorInterval calls (or when the log
-	// fills) the full frame is re-anchored instead.
+	// successive versions of a slot stay ordered on the QP. The
+	// propagated frame is usually a small δ-record into the slot's log
+	// area; after AnchorInterval of them (or when the log fills) the full
+	// frame is re-anchored instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: r.opts.Namespace + sumRegionBase, Off: off, Data: used, Label: label}
-	if r.opts.DeltaSummaries {
-		wr = r.deltaWR(g, slot, c, used, off, label)
-	}
+	wr := r.deltaWR(g, slot, c, used, off, label)
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) == r.id {
 			continue
@@ -359,37 +352,35 @@ func (r *Replica) slotOffset(g int, p spec.ProcID) int {
 }
 
 // anchorCap is the slot prefix holding the full-state anchor frame; the
-// remaining DeltaLogBytes tail is the δ-record log. Without DeltaSummaries
-// the whole slot is the anchor area.
+// remaining DeltaLogBytes tail is the δ-record log (empty in full-state
+// mode, where the whole slot is the anchor area).
 func (r *Replica) anchorCap() int {
-	if !r.opts.DeltaSummaries {
-		return r.opts.SumSlotSize
-	}
 	return r.opts.SumSlotSize - r.opts.DeltaLogBytes
 }
 
-// deltaWR picks the remote write for one reducible call under
-// DeltaSummaries: a δ-record appended to the slot's log area, or — every
-// AnchorInterval calls, when the log fills, or when the call does not pack —
-// a full-state re-anchor at the slot head, which also resets the log cursor
+// deltaWR picks the remote write for one reducible call: a δ-record
+// appended to the slot's log area, or — after AnchorInterval records, when
+// the log fills (always, with no log), or when the call does not pack — a
+// full-state re-anchor at the slot head, which also resets the log cursor
 // (peers skip the stale records left behind by version).
 func (r *Replica) deltaWR(g int, slot *sumSlot, c spec.Call, anchor []byte, off int, label string) rdma.WR {
 	dw := &r.deltaW[g]
 	region := r.opts.Namespace + sumRegionBase
-	rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
-		Kind:    codec.FrameDelta,
-		Version: slot.version,
-		Counts:  slot.counts,
-		C:       c,
-	})
-	if err == nil && dw.sinceAnchor < r.opts.AnchorInterval &&
-		dw.logOff+len(rec) <= r.opts.DeltaLogBytes {
-		wr := rdma.WR{Region: region, Off: off + r.anchorCap() + dw.logOff, Data: rec, Label: label}
-		dw.logOff += len(rec)
-		dw.sinceAnchor++
-		r.statDeltas++
-		r.mDeltas.Inc()
-		return wr
+	if dw.sinceAnchor < r.opts.AnchorInterval && dw.logOff < r.opts.DeltaLogBytes {
+		rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
+			Kind:    codec.FrameDelta,
+			Version: slot.version,
+			Counts:  slot.counts,
+			C:       c,
+		})
+		if err == nil && dw.logOff+len(rec) <= r.opts.DeltaLogBytes {
+			wr := rdma.WR{Region: region, Off: off + r.anchorCap() + dw.logOff, Data: rec, Label: label}
+			dw.logOff += len(rec)
+			dw.sinceAnchor++
+			r.statDeltas++
+			r.mDeltas.Inc()
+			return wr
+		}
 	}
 	dw.logOff, dw.sinceAnchor = 0, 0
 	r.statAnchors++
@@ -462,9 +453,9 @@ func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
 
 // scanSummaries polls the local summary region for slots remotely
 // overwritten by peers and adopts newer versions: the decoded summary call
-// replaces the cached one and the applied counts advance. Under
-// DeltaSummaries each slot is an anchor frame plus a δ-record log; the scan
-// adopts a newer anchor and then folds contiguous δ-records on top.
+// replaces the cached one and the applied counts advance. Each slot is an
+// anchor frame plus a δ-record log; the scan adopts a newer anchor and then
+// folds contiguous δ-records on top.
 func (r *Replica) scanSummaries() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
@@ -483,12 +474,7 @@ func (r *Replica) scanSummaries() {
 			if spec.ProcID(p) == r.id {
 				continue // own slot is written locally
 			}
-			var ch, stalled bool
-			if r.opts.DeltaSummaries {
-				ch, stalled = r.scanDeltaSlot(g, spec.ProcID(p), slot, region)
-			} else {
-				ch, stalled = r.scanFullSlot(g, spec.ProcID(p), slot, region)
-			}
+			ch, stalled := r.scanDeltaSlot(g, spec.ProcID(p), slot, region)
 			changed = changed || ch
 			if blocked != nil && (stalled || slot.fetching) {
 				blocked[p] = true
@@ -510,35 +496,6 @@ func (r *Replica) scanSummaries() {
 		r.assertIntegrity("summary scan")
 		r.kickApply()
 	}
-}
-
-// scanFullSlot adopts one peer slot in the full-state layout, reporting
-// whether anything changed and whether the slot was unreadable this pass
-// (torn frame — the source may still have undelivered state there).
-func (r *Replica) scanFullSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
-	off := r.slotOffset(g, p)
-	payload, ver, err := codec.DecodeSlot(region[off : off+r.opts.SumSlotSize])
-	if err != nil {
-		if errors.Is(err, codec.ErrTorn) {
-			// A peer's overwrite is still landing (or its boundary
-			// words raced ahead of the interior): reject now, let
-			// the next periodic scan observe the healed slot.
-			r.statTorn++
-			r.mTorn.Inc()
-			return false, true
-		}
-		return false, false
-	}
-	if ver <= slot.version {
-		return false, false
-	}
-	counts, call, sepoch, derr := decodeSumSlot(payload)
-	if derr != nil || r.staleSlot(p, sepoch) {
-		return false, false
-	}
-	r.installSlot(g, p, slot, ver, call, counts, "scan")
-	r.replaceSummary()
-	return true, false
 }
 
 // installSlot commits an adopted summary (version, call, counts) for peer
@@ -570,14 +527,14 @@ func (r *Replica) installSlot(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 // local copy is damaged beyond what retrying can fix.
 const tornParkScans = 3
 
-// scanDeltaSlot adopts one peer slot in the delta-group layout. The anchor
-// frame at the slot head re-bases the state when newer; the δ-record log is
-// then walked from the front: records at or below the current version are
-// stale leftovers of earlier rounds (skipped), the record at version+1 folds
-// into the summary via the group's Summarize, and a version jumping further
-// ahead is a gap — deltas were lost (partition, dropped write), so the
-// reader schedules a one-sided fetch of the writer's authoritative full
-// state instead of folding onto the wrong base. Only the version+1 record's
+// scanDeltaSlot adopts one peer slot. The anchor frame at the slot head
+// re-bases the state when newer; the δ-record log (empty in full-state
+// mode) is then walked from the front: records at or below the current
+// version are stale leftovers of earlier rounds (skipped), the record at
+// version+1 folds into the summary via the group's Summarize, and a version
+// jumping further ahead is a gap — deltas were lost (partition, dropped
+// write), so the reader schedules a one-sided fetch of the writer's
+// authoritative full state instead of folding onto the wrong base. Only the version+1 record's
 // body is decoded; every other record is validated (length, canary, CRC,
 // kind, version) and skipped. The second result reports the slot
 // unreadable this pass (torn frame or log record).
@@ -700,7 +657,7 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 		if r.tracing() {
 			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
 		}
-		entry, err := r.encodeFree(c, d)
+		entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
 		if err == nil {
 			var label string
 			if r.tracing() {
@@ -784,40 +741,16 @@ func (r *Replica) flushFree() error {
 	return r.bc.BroadcastLabeled(label, batch, nil)
 }
 
-// encodeFree serializes one broadcast entry: the packed varint δ-framing
-// (codec.FrameFull) under DeltaWire, the fixed-width entry otherwise. Both
-// are self-delimiting and receivers accept either, so the wire format can
-// differ per node during a rollout.
-func (r *Replica) encodeFree(c spec.Call, d spec.DepVec) ([]byte, error) {
-	if !r.opts.DeltaWire {
-		return codec.EncodeEntry(c, d)
-	}
-	return codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
-}
-
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
 // buffer of its source and tries to apply. Entries are self-delimiting, so
-// single-entry and batched records share one decode loop; the δ-framing's
-// kind byte sits where a legacy entry's method low byte would (≥ 0xF0,
-// unreachable for real method ids), so the two formats interleave freely.
+// single-entry and batched records share one decode loop.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
-		var e pendingEntry
-		var n int
-		if len(payload) > 4 && payload[4] >= codec.FrameFull {
-			rec, m, err := codec.DecodeDeltaRecord(payload)
-			if err != nil {
-				return
-			}
-			e, n = pendingEntry{c: rec.C, d: rec.D}, m
-		} else {
-			c, d, m, err := codec.DecodeEntry(payload)
-			if err != nil {
-				return
-			}
-			e, n = pendingEntry{c: c, d: d}, m
+		rec, n, err := codec.DecodeDeltaRecord(payload)
+		if err != nil {
+			return
 		}
-		r.fQueues[src] = append(r.fQueues[src], e)
+		r.fQueues[src] = append(r.fQueues[src], pendingEntry{c: rec.C, d: rec.D})
 		payload = payload[n:]
 	}
 	r.noteQueueDepths()
@@ -1332,9 +1265,9 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	if err != nil || r.staleSlot(p, sepoch) {
 		return false
 	}
-	// Install only the frame's used prefix: under DeltaSummaries the rest
-	// of the slot is the δ-record log, and overwriting it with the bytes of
-	// a read issued one RTT ago would clobber records that landed since.
+	// Install only the frame's used prefix: the rest of the slot is the
+	// δ-record log, and overwriting it with the bytes of a read issued one
+	// RTT ago would clobber records that landed since.
 	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[r.slotOffset(g, p):],
 		data[:codec.SlotOverhead+len(payload)])
 	r.installSlot(g, p, slot, ver, call, counts, "read")

@@ -13,9 +13,9 @@ import (
 
 // TestSummaryViewsMatchRebuild drives every event that folds into or
 // rebuilds the summary views — local REDUCE, δ-record folds, free and
-// ordered applies, leader speculation (fold paths); anchor adoption,
-// full-frame scans, a fetched slot after a torn park, and the leader's
-// deposition (rebuild paths) — with CheckIntegrity on, which compares each
+// ordered applies, leader speculation (fold paths); anchor adoption (every
+// write, in full-state mode), a fetched slot after a torn park, and the
+// leader's deposition (rebuild paths) — with CheckIntegrity on, which compares each
 // folded view against a from-scratch Apply(S)(σ) after every state change
 // and panics on drift.
 func TestSummaryViewsMatchRebuild(t *testing.T) {
@@ -33,9 +33,10 @@ func TestSummaryViewsMatchRebuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cls := tc.cls()
 			h := newHarness(t, cls, 3, 41, func(o *Options) {
-				o.DeltaSummaries = tc.delta
-				o.DeltaWire = tc.delta
 				o.AnchorInterval = 4
+				if !tc.delta {
+					o.DeltaLogBytes = 0
+				}
 			})
 			if !h.cluster.Opts.CheckIntegrity {
 				t.Fatal("the drift check runs under CheckIntegrity")
@@ -72,8 +73,7 @@ func TestSummaryViewsMatchRebuild(t *testing.T) {
 			// Briefly every write from p1 to p2 lands torn, its interior
 			// 300µs late, while p1 issues reducible calls only (a torn ring
 			// record parks until recovery): p2's scan of p1's slot parks
-			// until it fetches p1's own copy (delta mode; full mode just
-			// rescans).
+			// until it fetches p1's own copy.
 			h.eng.At(sim.Time(4*sim.Millisecond), func() {
 				h.fab.SetLinkTorn(1, 2, 300*sim.Microsecond, 0)
 				u := cls.SumGroups[0].Methods[0]
@@ -114,11 +114,12 @@ func TestSummaryViewsMatchRebuild(t *testing.T) {
 					t.Errorf("p%d never materialized Apply(S)(σ)", r.id)
 				}
 			}
-			if tc.delta {
-				deltas, anchors, fetches := deltaStats(h.cluster)
-				if deltas == 0 || anchors < 3 || fetches == 0 {
-					t.Errorf("delta pipeline: %d δ-records, %d anchors, %d fetches; want all three paths", deltas, anchors, fetches)
-				}
+			deltas, anchors, fetches := deltaStats(h.cluster)
+			if tc.delta && (deltas == 0 || anchors < 3 || fetches == 0) {
+				t.Errorf("delta pipeline: %d δ-records, %d anchors, %d fetches; want all three paths", deltas, anchors, fetches)
+			}
+			if !tc.delta && (deltas != 0 || fetches == 0) {
+				t.Errorf("full-state pipeline: %d δ-records, %d fetches; want none and a torn-park fetch", deltas, fetches)
 			}
 		})
 	}

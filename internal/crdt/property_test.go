@@ -119,7 +119,11 @@ func TestPairwiseMergeConverges(t *testing.T) {
 
 // TestSummarizeMatchesSequential checks, for every summarization group of
 // every pure CRDT, that applying Summarize(a, b) equals applying a then b —
-// the defining property that lets summary slots stand for their calls.
+// the defining property that lets summary slots stand for their calls. The
+// first argument is either one call or the Summarize-fold of 2–8 calls (a
+// slot's summary after a δ-log of folds), which must replay as the calls it
+// folded: fold associativity, whatever the run of δ-records a reader
+// finds between anchors.
 func TestSummarizeMatchesSequential(t *testing.T) {
 	for _, cls := range pureCRDTs() {
 		for gi := range cls.SumGroups {
@@ -127,12 +131,23 @@ func TestSummarizeMatchesSequential(t *testing.T) {
 			g := cls.SumGroups[gi]
 			f := func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
-				a := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-				b := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
+				draw := func() spec.Call { return cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))]) }
+				as := []spec.Call{draw()}
+				if r.Intn(2) == 0 {
+					for n := 2 + r.Intn(7); len(as) < n; {
+						as = append(as, draw())
+					}
+				}
+				b := draw()
 				base := cls.Gen.State(r)
-				seq := applyAll(cls, base.Clone(), []spec.Call{a, b})
+				seq := applyAll(cls, base.Clone(), append(append([]spec.Call(nil), as...), b))
+				a := as[0]
+				for _, c := range as[1:] {
+					a = g.Summarize(a, c)
+				}
+				folded := applyAll(cls, base.Clone(), []spec.Call{a, b})
 				sum := applyAll(cls, base.Clone(), []spec.Call{g.Summarize(a, b)})
-				return seq.Equal(sum)
+				return seq.Equal(folded) && seq.Equal(sum)
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
@@ -164,205 +179,5 @@ func TestSummaryIdentityIsNeutral(t *testing.T) {
 				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
 			}
 		}
-	}
-}
-
-// deltaState replays a FullState call list onto a fresh state so two
-// δ-views can be compared through the class semantics they stand for.
-func deltaState(cls *spec.Class, d DeltaCRDT) spec.State {
-	calls, _ := d.FullState()
-	return applyAll(cls, cls.NewState(), calls)
-}
-
-// TestDeltaReplayEquivalence checks ApplyDelta(Delta(v)) ≡ FullState: a
-// mirror stalled at any version v that catches up through one δ-group ends
-// bit-identical (through the class semantics) to the writer's full state —
-// the replay-equivalence law of the delta pipeline.
-func TestDeltaReplayEquivalence(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		cls := cls
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			for _, writer := range DeltasFor(cls, 0) {
-				var groupCalls []spec.Call
-				if sd, ok := writer.(*SummaryDelta); ok {
-					g := sd.g
-					groupCalls = make([]spec.Call, 2+r.Intn(10))
-					for i := range groupCalls {
-						groupCalls[i] = cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-					}
-				} else {
-					groupCalls = genCalls(cls, r, 2+r.Intn(10))
-				}
-				stall := uint64(r.Intn(len(groupCalls)))
-				mirror := DeltasFor(cls, 0)[0]
-				if _, isSum := writer.(*SummaryDelta); isSum {
-					mirror = NewSummaryDelta(writer.(*SummaryDelta).g, 0)
-				}
-				for i, c := range groupCalls {
-					writer.Mutate(c)
-					if uint64(i) < stall {
-						mirror.Mutate(c)
-					}
-				}
-				ds, ok := writer.Delta(stall)
-				if !ok {
-					return false
-				}
-				if err := mirror.ApplyDelta(stall, ds); err != nil {
-					return false
-				}
-				if mirror.Version() != writer.Version() {
-					return false
-				}
-				if !deltaState(cls, mirror).Equal(deltaState(cls, writer)) {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", cls.Name, err)
-		}
-	}
-}
-
-// TestDeltaCompositionAssociativity checks δ-group composition associates:
-// catching up in one jump Delta(0), in two jumps through any midpoint, or
-// by applying the Fold of the whole group as a single call all land on the
-// same state — the property that lets a reader fold however many log
-// records it finds in one pass.
-func TestDeltaCompositionAssociativity(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		for gi := range cls.SumGroups {
-			cls, gi := cls, gi
-			g := cls.SumGroups[gi]
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				n := 3 + r.Intn(8)
-				writer := NewSummaryDelta(g, 0)
-				for i := 0; i < n; i++ {
-					writer.Mutate(cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))]))
-				}
-				want := deltaState(cls, writer)
-				// One jump from every stall point.
-				for v := 0; v < n; v++ {
-					m := NewSummaryDelta(g, 0)
-					head, _ := writer.Delta(0)
-					if m.ApplyDelta(0, head[:v]) != nil {
-						return false
-					}
-					ds, ok := writer.Delta(uint64(v))
-					if !ok || m.ApplyDelta(uint64(v), ds) != nil {
-						return false
-					}
-					if m.Version() != writer.Version() || !deltaState(cls, m).Equal(want) {
-						return false
-					}
-				}
-				// Two jumps through a random midpoint must equal one jump.
-				mid := uint64(1 + r.Intn(n-1))
-				all, _ := writer.Delta(0)
-				tail, ok := writer.Delta(mid)
-				if !ok {
-					return false
-				}
-				m2 := NewSummaryDelta(g, 0)
-				if m2.ApplyDelta(0, all[:mid]) != nil || m2.ApplyDelta(mid, tail) != nil {
-					return false
-				}
-				if !deltaState(cls, m2).Equal(want) {
-					return false
-				}
-				// Fold associativity: collapsing any split into two folded
-				// calls, or the whole group into one, replays identically.
-				folded := applyAll(cls, cls.NewState(), []spec.Call{writer.Fold(all)})
-				split := applyAll(cls, cls.NewState(),
-					[]spec.Call{writer.Fold(all[:mid]), writer.Fold(all[mid:])})
-				return folded.Equal(want) && split.Equal(want)
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
-			}
-		}
-	}
-}
-
-// TestAnchorIntervalInvariance drives a writer/reader pair where the reader
-// re-anchors from FullState every K mutations and folds deltas in between:
-// the converged state must not depend on K — anchors are a recovery and
-// bound mechanism, never a semantic one.
-func TestAnchorIntervalInvariance(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		for gi := range cls.SumGroups {
-			cls, gi := cls, gi
-			g := cls.SumGroups[gi]
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				calls := make([]spec.Call, 12+r.Intn(12))
-				for i := range calls {
-					calls[i] = cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-				}
-				var states []spec.State
-				for _, k := range []int{1, 3, 8} {
-					writer := NewSummaryDelta(g, 0)
-					reader := NewSummaryDelta(g, 0)
-					for i, c := range calls {
-						writer.Mutate(c)
-						if (i+1)%k == 0 {
-							// Anchor: the reader adopts the full state.
-							full, v := writer.FullState()
-							reader.full, reader.ver = full[0], v
-						} else {
-							ds, ok := writer.Delta(reader.Version())
-							if !ok || reader.ApplyDelta(reader.Version(), ds) != nil {
-								return false
-							}
-						}
-					}
-					states = append(states, deltaState(cls, reader))
-				}
-				return states[0].Equal(states[1]) && states[1].Equal(states[2]) &&
-					states[0].Equal(applyAll(cls, cls.NewState(), calls))
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
-			}
-		}
-	}
-}
-
-// TestDeltaGapDetection checks the failure modes the runtime leans on: a
-// Delta call predating the retained window reports no coverage (forcing the
-// full-state fallback) and ApplyDelta onto the wrong version errors instead
-// of silently corrupting the mirror.
-func TestDeltaGapDetection(t *testing.T) {
-	cls := NewPNCounter()
-	g := cls.SumGroups[0]
-	r := rand.New(rand.NewSource(11))
-	s := NewSummaryDelta(g, 4)
-	for i := 0; i < 10; i++ {
-		s.Mutate(cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))]))
-	}
-	if _, ok := s.Delta(2); ok {
-		t.Fatal("Delta(2) with a 4-deep window must report a gap")
-	}
-	if ds, ok := s.Delta(6); !ok || len(ds) != 4 {
-		t.Fatalf("Delta(6) inside the window: ok=%v len=%d", ok, len(ds))
-	}
-	if _, ok := s.Delta(11); ok {
-		t.Fatal("Delta past the writer version must report a gap")
-	}
-	m := NewSummaryDelta(g, 4)
-	if err := m.ApplyDelta(3, []spec.Call{g.Identity()}); err == nil {
-		t.Fatal("ApplyDelta onto the wrong version must error")
-	}
-	l := NewLogDelta()
-	l.Mutate(cls.Gen.Call(r, g.Methods[0]))
-	if err := l.ApplyDelta(5, nil); err == nil {
-		t.Fatal("LogDelta.ApplyDelta onto the wrong version must error")
-	}
-	if _, ok := l.Delta(9); ok {
-		t.Fatal("LogDelta.Delta past the log must report a gap")
 	}
 }

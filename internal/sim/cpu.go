@@ -81,8 +81,5 @@ func (c *CPU) Resume() {
 // Suspended reports whether the CPU is suspended.
 func (c *CPU) Suspended() bool { return c.suspended }
 
-// QueueLen reports the number of work items waiting to execute.
-func (c *CPU) QueueLen() int { return len(c.queue) }
-
 // BusyTotal reports the cumulative busy time charged to this core.
 func (c *CPU) BusyTotal() Duration { return c.busyTotal }

@@ -214,9 +214,6 @@ func MustAnalyze(cls *Class) *Analysis {
 // Conflicting reports whether method u needs synchronization.
 func (a *Analysis) Conflicting(u MethodID) bool { return a.Category[u] == CatConflicting }
 
-// Reducible reports whether method u is reducible.
-func (a *Analysis) Reducible(u MethodID) bool { return a.Category[u] == CatReducible }
-
 // Has reports whether any method of the class falls in category c. The
 // runtime builds a category's machinery (summary slots, broadcast, Mu)
 // only for a class that has such a method.
@@ -228,9 +225,6 @@ func (a *Analysis) Has(c Category) bool {
 	}
 	return false
 }
-
-// NumMethods returns the number of methods in the class.
-func (a *Analysis) NumMethods() int { return len(a.Category) }
 
 // Summary returns a human-readable description of the analysis.
 func (a *Analysis) Summary() string {
